@@ -125,9 +125,8 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 	// termination LP, parameterized in K) and the independent certificate
 	// re-check that every Proved verdict pays. sum-not-two-ss is the cheap
 	// shape (2 local transitions); matchingA drives the LP through ~650
-	// pivots, so its two rows bound the lane's cost range. No gate
-	// thresholds ride on these — the compare step reports them as
-	// warnings-only metrics.
+	// pivots, so its two rows bound the lane's cost range. Like every row,
+	// they count in the compare step's geomean gate.
 	for _, ic := range []struct {
 		name string
 		p    *core.Protocol

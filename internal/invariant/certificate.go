@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/big"
+	"runtime/trace"
 
 	"paramring/internal/core"
 )
@@ -102,6 +103,7 @@ func (c *Certificate) Size() int { return len(c.Canon()) }
 // protocol. The function never panics, whatever the certificate contains —
 // it is the fuzz target guarding the lane's trusted base.
 func CheckCertificate(p *core.Protocol, c *Certificate) error {
+	defer trace.StartRegion(context.Background(), "invariant.recheck").End()
 	if c == nil {
 		return fmt.Errorf("invariant: nil certificate")
 	}

@@ -47,7 +47,9 @@
 //     graph, so transitions whose write edge leaves every strongly connected
 //     component are removed (iterated to a fixpoint) and only the recurrent
 //     remainder must decrease phi. Feasibility is decided by an exact
-//     rational phase-1 simplex (math/big, Bland's rule) so the certificate
+//     phase-1 simplex (Dantzig's rule, then Bland's) over a fraction-free
+//     integer tableau — int64 entries over one shared denominator,
+//     promoted to math/big if an entry reaches 2^31 — so the certificate
 //     is deterministic and never subject to floating-point doubt. Ring
 //     sizes 2 <= K < w, where a window wraps onto itself and the
 //     parameterized argument does not apply, are closed out by an exhaustive
@@ -71,6 +73,7 @@ package invariant
 import (
 	"context"
 	"fmt"
+	"runtime/trace"
 
 	"paramring/internal/core"
 )
@@ -107,8 +110,10 @@ func (v Verdict) String() string {
 // verify surfaces as a skipped lane) instead of an unbounded computation.
 type Options struct {
 	// MaxLocalStates caps the local state space the lane will analyze
-	// (default 1<<14). The LP tableau is dense in the number of referenced
-	// local states, so this is the lane's memory guard.
+	// (default 1<<14), which bounds every per-state table and the LP's
+	// variable count. The LP tableau itself is capped separately, at a
+	// fixed number of stored cells (constraints × (variables +
+	// constraints)); an LP over that cap degrades to Unknown.
 	MaxLocalStates int
 	// MaxConstraints caps the deduplicated LP constraint count
 	// (default 1<<16).
@@ -194,10 +199,14 @@ func Analyze(ctx context.Context, p *core.Protocol, opts Options) (*Report, erro
 		TArcs:       len(a.sys.Trans),
 	}
 
+	region := trace.StartRegion(ctx, "invariant.traps")
 	cert.Traps = a.valueTraps()
+	region.End()
 	rep.TrapCount = len(cert.Traps)
 
+	region = trace.StartRegion(ctx, "invariant.ranking")
 	dc, dv := a.deadlockCert()
+	region.End()
 	cert.Deadlock = dc
 	rep.Deadlock = dv
 	if dv == Fails {
@@ -207,13 +216,17 @@ func Analyze(ctx context.Context, p *core.Protocol, opts Options) (*Report, erro
 		return nil, err
 	}
 
+	region = trace.StartRegion(ctx, "invariant.smallk")
 	sk, smallLivelockOK, smallClosureOK := a.smallKCheck()
+	region.End()
 	cert.SmallK = sk
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
+	region = trace.StartRegion(ctx, "invariant.lp")
 	tc, tv, notes, stats, err := a.termination(ctx)
+	region.End()
 	if err != nil {
 		return nil, err
 	}

@@ -3,11 +3,14 @@ package invariant
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sort"
 	"testing"
 
 	"paramring/internal/core"
+	"paramring/internal/dsl"
 	"paramring/internal/protocols"
+	"paramring/internal/protogen"
 )
 
 func analyze(t *testing.T, p *core.Protocol) *Report {
@@ -254,5 +257,40 @@ func TestTrapInductiveness(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTableauCellCap pins the LP size guard. A two-valued sweep protocol
+// with window [-4,4] has 512 local states and over 20,000 deduplicated
+// constraints, well inside MaxConstraints; its tableau would hold hundreds of
+// millions of cells, which the lane used to start allocating before its
+// first pivot. It must degrade to Unknown with the cap's note instead.
+func TestTableauCellCap(t *testing.T) {
+	sw := protogen.Sweep{Seed: 5, Families: []protogen.SweepFamily{
+		{Name: "big", Domain: 2, Lo: -4, Hi: 4, Variants: 1, MovePercent: 70},
+	}}
+	specs, err := sw.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := dsl.Parse(specs[1].Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := analyze(t, p)
+	if rep.Livelock != Unknown || rep.Certificate.Termination != nil {
+		t.Errorf("livelock = %v (termination certificate %v), want Unknown", rep.Livelock, rep.Certificate.Termination)
+	}
+	if rep.Pivots != 0 || rep.Constraints <= 20000 {
+		t.Errorf("pivots = %d, constraints = %d; want no pivot on a >20,000-row LP", rep.Pivots, rep.Constraints)
+	}
+	want := fmt.Sprintf("termination: %d×%d LP tableau exceeds the lane limit of %d cells",
+		rep.Constraints, rep.Constraints+p.NumLocalStates(), maxTableauCells)
+	found := false
+	for _, n := range rep.Notes {
+		found = found || n == want
+	}
+	if !found {
+		t.Errorf("notes %q lack %q", rep.Notes, want)
 	}
 }

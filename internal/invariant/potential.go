@@ -48,12 +48,22 @@ func (a *analysis) termination(ctx context.Context) (*TerminationCertificate, Ve
 			"termination: %d LP constraints exceed the lane limit %d", len(rows), a.opts.MaxConstraints,
 		)}, stats, nil
 	}
+	if cols := vars + len(rows); len(rows)*cols > maxTableauCells {
+		return nil, Unknown, []string{fmt.Sprintf(
+			"termination: %d×%d LP tableau exceeds the lane limit of %d cells", len(rows), cols, maxTableauCells,
+		)}, stats, nil
+	}
 	sol, feasible, pivots, err := solveStrict(ctx, rows, vars, a.opts.MaxPivots)
 	stats.pivots = pivots
-	if err != nil {
-		if err == errPivotLimit {
-			return nil, Unknown, []string{"termination: simplex pivot limit exceeded"}, stats, nil
-		}
+	switch err {
+	case nil:
+	case errPivotLimit:
+		return nil, Unknown, []string{"termination: simplex pivot limit exceeded"}, stats, nil
+	case errBitLimit:
+		return nil, Unknown, []string{fmt.Sprintf(
+			"termination: simplex tableau entries exceed %d bits", maxCellBits,
+		)}, stats, nil
+	default:
 		return nil, Unknown, nil, stats, err
 	}
 	if !feasible {
