@@ -7,10 +7,12 @@ import (
 	"time"
 
 	"paramring/internal/core"
+	"paramring/internal/dsl"
 	"paramring/internal/explicit"
 	"paramring/internal/invariant"
 	"paramring/internal/ltg"
 	"paramring/internal/protocols"
+	"paramring/internal/protogen"
 	"paramring/internal/rcg"
 	"paramring/internal/synthesis"
 	"paramring/internal/verify"
@@ -120,6 +122,27 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 	}), map[string]float64{
 		"peak_table_bytes": float64(verify.EstimatePeakTableBytes(p, vopts)),
 	})
+
+	// The cold shape of the end-to-end benchmark's cold-durable and
+	// batch-cluster workloads: a fresh d=4 window [-1,0] sweep member at 40%
+	// and 70% moves, verified with the service's engine setting. On these
+	// rows explicit cross-validation up to K=6 is most of the cost.
+	coldOpts := verify.Options{CrossValidateMaxK: 6, Workers: 1}
+	for _, pct := range []int{40, 70} {
+		cp, err := coldSpec(pct)
+		if err != nil {
+			return nil, err
+		}
+		s.Add(fmt.Sprintf("verify/check/cold-d4-%d", pct), Measure(cfg.Benchtime, func(n int) {
+			for i := 0; i < n; i++ {
+				if _, err := verify.Check(cp, coldOpts); err != nil {
+					panic(err)
+				}
+			}
+		}), map[string]float64{
+			"peak_table_bytes": float64(verify.EstimatePeakTableBytes(cp, coldOpts)),
+		})
+	}
 
 	// Invariant lane: cold symbolic analysis (traps + deadlock ranking +
 	// termination LP, parameterized in K) and the independent certificate
@@ -305,6 +328,20 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 // scanSink keeps the scan-loop sweep results observable so the measured
 // loops cannot be optimized away.
 var scanSink uint64
+
+// coldSpec returns the first member of a fixed d=4 window [-1,0] sweep
+// family with the given move percentage.
+func coldSpec(movePercent int) (*core.Protocol, error) {
+	sw := protogen.Sweep{Seed: 20120612, Families: []protogen.SweepFamily{{
+		Name: fmt.Sprintf("cold%d", movePercent), Domain: 4, Lo: -1, Hi: 0,
+		Variants: 1, MovePercent: movePercent,
+	}}}
+	specs, err := sw.Specs()
+	if err != nil {
+		return nil, err
+	}
+	return dsl.Parse(specs[1].Source) // specs[0] is the action-free family base
+}
 
 func statesPerSec(states uint64, r Result) float64 {
 	if r.NsPerOp <= 0 {

@@ -21,6 +21,8 @@ func TestVerifySuiteSmoke(t *testing.T) {
 		"speccache/compile/cold",
 		"speccache/compile/hit",
 		"verify/check/sum-not-two",
+		"verify/check/cold-d4-40",
+		"verify/check/cold-d4-70",
 		"table1/local/sum-not-two",
 		"table1/global/seq/sum-not-two/K=6",
 		"table1/global/par/sum-not-two/K=6",
