@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"io"
+	"log"
 	"sync"
 	"testing"
 	"time"
@@ -118,5 +120,97 @@ func TestShutdownFinalizesBackedOffJobs(t *testing.T) {
 	waitDone(t, j2)
 	if v := svc2.Snapshot(j2); v.State != StateDone {
 		t.Fatalf("replayed job: %+v", v)
+	}
+}
+
+// TestSubmitShutdownRace: submissions racing Shutdown on a journaled
+// service get a job or ErrShutdown, never a panic on the closed queue.
+// Each round runs eight submitters against Shutdown; the journal fsync
+// between Submit's two critical sections is the window Shutdown lands in.
+// Afterwards Shutdown has returned, every accepted job has finished, and a
+// restart on the same journal replays none of the refused submissions.
+func TestSubmitShutdownRace(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		dir := t.TempDir()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			submitShutdownRound(t, dir)
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("round %d: Submit or Shutdown hung", round)
+		}
+		if t.Failed() {
+			t.Fatalf("round %d failed", round)
+		}
+	}
+}
+
+// submitShutdownRound is one round of TestSubmitShutdownRace. It runs off
+// the test goroutine, so it reports with t.Error only.
+func submitShutdownRound(t *testing.T, dir string) {
+	svc, err := New(Config{CacheDir: dir, Workers: 1, QueueSize: 8, Log: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	svc.Start()
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		accepted []*Job
+	)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Submit panicked: %v", r)
+				}
+			}()
+			for i := 0; ; i++ {
+				j, err := svc.Submit(Request{Spec: numberedSpec(g*100000 + i)})
+				switch {
+				case err == nil:
+					mu.Lock()
+					accepted = append(accepted, j)
+					mu.Unlock()
+				case errors.Is(err, ErrShutdown):
+					return
+				case !errors.Is(err, ErrQueueFull):
+					t.Errorf("Submit: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	time.Sleep(5 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Errorf("Shutdown: %v", err)
+	}
+	wg.Wait()
+	for _, j := range accepted {
+		select {
+		case <-j.Done():
+		default:
+			t.Errorf("accepted job %s still open after Shutdown", j.ID())
+		}
+	}
+
+	restarted, err := New(Config{CacheDir: dir, Workers: 1, Log: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	if got := restarted.Metrics().JobsReplayed.Load(); got != 0 {
+		t.Errorf("restart replayed %d job(s); refused submissions must not come back", got)
+	}
+	if err := restarted.Shutdown(ctx); err != nil {
+		t.Errorf("Shutdown after restart: %v", err)
 	}
 }
