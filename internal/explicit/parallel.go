@@ -52,11 +52,11 @@ func chunkFor(n uint64, workers, w int) (lo, hi uint64) {
 }
 
 // forEachChunk runs fn concurrently on one contiguous range of state codes
-// per worker and waits for all of them. With a single worker it runs fn
-// inline.
-func (in *Instance) forEachChunk(fn func(lo, hi uint64)) {
+// per worker — chunk w is chunkFor(n, workers, w) — and waits for all of
+// them. With a single worker it runs fn(0, 0, n) inline.
+func (in *Instance) forEachChunk(fn func(w int, lo, hi uint64)) {
 	if in.workers <= 1 || in.n == 0 {
-		fn(0, in.n)
+		fn(0, 0, in.n)
 		return
 	}
 	var wg sync.WaitGroup
@@ -66,10 +66,10 @@ func (in *Instance) forEachChunk(fn func(lo, hi uint64)) {
 			continue
 		}
 		wg.Add(1)
-		go func(lo, hi uint64) {
+		go func(w int, lo, hi uint64) {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+			fn(w, lo, hi)
+		}(w, lo, hi)
 	}
 	wg.Wait()
 }
@@ -82,7 +82,7 @@ func (in *Instance) firstIllegitimateDeadlockParallel(ctx context.Context) (uint
 	defer trace.StartRegion(ctx, "explicit.deadlockScan").End()
 	var best atomic.Uint64
 	best.Store(math.MaxUint64)
-	in.forEachChunk(func(lo, hi uint64) {
+	in.forEachChunk(func(_ int, lo, hi uint64) {
 		if lo >= hi {
 			return
 		}

@@ -22,8 +22,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"paramring/internal/core"
 	"paramring/internal/explicit"
@@ -83,9 +81,10 @@ type Options struct {
 	// protocols, where Theorem 5.14 covers contiguous livelocks only).
 	BoundedFallbackMaxK int
 	// Workers sets the explicit-engine worker count used for
-	// cross-validation and the bounded fallback, and fans the per-K
-	// instances out concurrently (0 = runtime.GOMAXPROCS(0); 1 =
-	// sequential). The report is identical for any worker count.
+	// cross-validation and the bounded fallback: each ring size's state
+	// sweep is sharded across that many goroutines (0 =
+	// runtime.GOMAXPROCS(0); 1 = sequential). The report is identical for
+	// any worker count.
 	Workers int
 	// MaxStates, when > 0, overrides the explicit engine's state-count
 	// guard (explicit.DefaultMaxStates) for every instance this run
@@ -110,9 +109,9 @@ type Options struct {
 
 // EstimatePeakTableBytes returns a pre-run upper bound on the resident
 // explicit-engine table bytes a Check run with these options can hold at
-// once: the per-K membership bitsets of every ring size the run may have
-// concurrently in flight (cross-validation and the bounded fallback fan
-// out across workers, so all of 2..maxK can be resident together). Zero
+// once, counted as the per-K membership bitsets of every ring size in
+// 2..maxK together — a bound, since the explicit engine checks the ring
+// sizes one after another. Zero
 // means the options request no explicit work at all — the local theorems
 // allocate per-local-state structures, not per-global-state tables, and
 // the invariant lane (Options.Invariant) is equally symbolic, so a
@@ -254,21 +253,26 @@ func CheckCtx(ctx context.Context, p *core.Protocol, opts Options) (*Report, err
 	}
 	rep := &Report{}
 	sys := p.Compile()
-	instOpts := func(workers int) []explicit.Option {
-		o := []explicit.Option{explicit.WithWorkers(workers)}
-		if opts.MaxStates > 0 {
-			o = append(o, explicit.WithMaxStates(opts.MaxStates))
-		}
-		return o
+	engineOpts := []explicit.Option{explicit.WithWorkers(opts.Workers)}
+	if opts.MaxStates > 0 {
+		engineOpts = append(engineOpts, explicit.WithMaxStates(opts.MaxStates))
 	}
-	var explicitStates, explicitPeak atomic.Uint64
-	notePeak := func(in *explicit.Instance) {
-		for {
-			cur := explicitPeak.Load()
-			if in.TableBytes() <= cur || explicitPeak.CompareAndSwap(cur, in.TableBytes()) {
-				return
+	// checkRings runs the explicit engine over ring sizes 2..maxK and folds
+	// their sizes into the report's work and memory figures. A construction
+	// error names the ring size it failed at (the smallest failing one).
+	checkRings := func(phase string, maxK int, livelock bool) ([]explicit.RingCheck, error) {
+		rings, err := explicit.CheckRings(ctx, p, maxK, livelock, engineOpts...)
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
 			}
+			return nil, fmt.Errorf("verify: %s K=%d: %w", phase, len(rings)+2, err)
 		}
+		for _, rc := range rings {
+			rep.ExplicitStates += rc.States
+			rep.ExplicitPeakTableBytes = max(rep.ExplicitPeakTableBytes, rc.TableBytes)
+		}
+		return rings, nil
 	}
 
 	// Theorem 4.2. A modest witness cap keeps dense deadlock graphs (e.g.
@@ -399,36 +403,17 @@ func CheckCtx(ctx context.Context, p *core.Protocol, opts Options) (*Report, err
 	}
 
 	// Bounded fallback for inconclusive livelock verdicts: every ring size
-	// in [2, bound] is searched (fanned out across workers — the smallest
-	// livelocking K wins the merge, so the verdict matches the sequential
-	// ascending search).
+	// in [2, bound] is searched, and the smallest livelocking K refutes.
 	if rep.Livelock == Inconclusive && opts.BoundedFallbackMaxK > 1 {
-		found := make([]bool, opts.BoundedFallbackMaxK+1)
-		err := perK(2, opts.BoundedFallbackMaxK, opts.Workers, func(k int) error {
-			in, err := explicit.NewInstanceCtx(ctx, p, k, instOpts(opts.Workers)...)
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-				return fmt.Errorf("verify: bounded fallback K=%d: %w", k, err)
-			}
-			cycle, err := in.FindLivelockCtx(ctx)
-			if err != nil {
-				return err
-			}
-			explicitStates.Add(in.NumStates())
-			notePeak(in)
-			found[k] = cycle != nil
-			return nil
-		})
+		rings, err := checkRings("bounded fallback", opts.BoundedFallbackMaxK, true)
 		if err != nil {
 			return nil, err
 		}
 		rep.LivelockBoundedFreeK = opts.BoundedFallbackMaxK
-		for k := 2; k <= opts.BoundedFallbackMaxK; k++ {
-			if found[k] {
+		for _, rc := range rings {
+			if rc.Livelock {
 				rep.Livelock = Refuted
-				rep.LivelockWitnessK = k
+				rep.LivelockWitnessK = rc.K
 				rep.LivelockBoundedFreeK = 0
 				break
 			}
@@ -438,60 +423,38 @@ func CheckCtx(ctx context.Context, p *core.Protocol, opts Options) (*Report, err
 	rep.SelfStabilizing = rep.Deadlock == Proved && rep.Livelock == Proved &&
 		((!rep.ContiguousOnly && rep.LivelockSkipped == "") || rep.LivelockProvedByInvariant)
 
-	// Optional exhaustive cross-validation, fanned out per ring size;
-	// disagreement messages are merged in K order so the report is
-	// independent of scheduling.
+	// Optional exhaustive cross-validation, in ascending ring size. A
+	// livelock search arbitrates every lane that claims freedom: Theorem
+	// 5.14, the invariant lane, or both.
 	if opts.CrossValidateMaxK > 1 {
-		msgs := make([][]string, opts.CrossValidateMaxK+1)
-		err := perK(2, opts.CrossValidateMaxK, opts.Workers, func(k int) error {
-			in, err := explicit.NewInstanceCtx(ctx, p, k, instOpts(opts.Workers)...)
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-				return fmt.Errorf("verify: cross-validation K=%d: %w", k, err)
-			}
-			explicitStates.Add(in.NumStates())
-			notePeak(in)
-			hasDeadlock := len(in.IllegitimateDeadlocks()) > 0
-			if hasDeadlock && rep.Deadlock == Proved {
-				msgs[k] = append(msgs[k],
-					fmt.Sprintf("K=%d: explicit deadlock contradicts Theorem 4.2 Proved", k))
-			}
-			if hasDeadlock && rep.InvariantDeadlock == Proved {
-				msgs[k] = append(msgs[k],
-					fmt.Sprintf("K=%d: explicit deadlock contradicts invariant-lane Holds", k))
-			}
-			if !hasDeadlock && rep.Deadlock == Refuted && containsK(dl, k) {
-				msgs[k] = append(msgs[k],
-					fmt.Sprintf("K=%d: Theorem 4.2 witness size not reproduced", k))
-			}
-			// A livelock search arbitrates every lane that claims freedom:
-			// Theorem 5.14, the invariant lane, or both.
-			if rep.Livelock == Proved || rep.InvariantLivelock == Proved {
-				cycle, err := in.FindLivelockCtx(ctx)
-				if err != nil {
-					return err
-				}
-				if cycle != nil {
-					if rep.Livelock == Proved && !rep.LivelockProvedByInvariant {
-						msgs[k] = append(msgs[k],
-							fmt.Sprintf("K=%d: explicit livelock contradicts Theorem 5.14 Proved", k))
-					}
-					if rep.InvariantLivelock == Proved {
-						msgs[k] = append(msgs[k],
-							fmt.Sprintf("K=%d: explicit livelock contradicts invariant-lane Holds", k))
-					}
-				}
-			}
-			return nil
-		})
+		searchLivelock := rep.Livelock == Proved || rep.InvariantLivelock == Proved
+		rings, err := checkRings("cross-validation", opts.CrossValidateMaxK, searchLivelock)
 		if err != nil {
 			return nil, err
 		}
-		for k := 2; k <= opts.CrossValidateMaxK; k++ {
+		for _, rc := range rings {
+			k := rc.K
 			rep.CrossValidated = append(rep.CrossValidated, k)
-			rep.Disagreements = append(rep.Disagreements, msgs[k]...)
+			if rc.Deadlock && rep.Deadlock == Proved {
+				rep.Disagreements = append(rep.Disagreements,
+					fmt.Sprintf("K=%d: explicit deadlock contradicts Theorem 4.2 Proved", k))
+			}
+			if rc.Deadlock && rep.InvariantDeadlock == Proved {
+				rep.Disagreements = append(rep.Disagreements,
+					fmt.Sprintf("K=%d: explicit deadlock contradicts invariant-lane Holds", k))
+			}
+			if !rc.Deadlock && rep.Deadlock == Refuted && containsK(dl, k) {
+				rep.Disagreements = append(rep.Disagreements,
+					fmt.Sprintf("K=%d: Theorem 4.2 witness size not reproduced", k))
+			}
+			if rc.Livelock && rep.Livelock == Proved && !rep.LivelockProvedByInvariant {
+				rep.Disagreements = append(rep.Disagreements,
+					fmt.Sprintf("K=%d: explicit livelock contradicts Theorem 5.14 Proved", k))
+			}
+			if rc.Livelock && rep.InvariantLivelock == Proved {
+				rep.Disagreements = append(rep.Disagreements,
+					fmt.Sprintf("K=%d: explicit livelock contradicts invariant-lane Holds", k))
+			}
 		}
 	}
 	// Any cross-lane conflict is a tool-bug condition: no headline claim
@@ -499,8 +462,6 @@ func CheckCtx(ctx context.Context, p *core.Protocol, opts Options) (*Report, err
 	if len(rep.Disagreements) > 0 {
 		rep.SelfStabilizing = false
 	}
-	rep.ExplicitStates = explicitStates.Load()
-	rep.ExplicitPeakTableBytes = explicitPeak.Load()
 	return rep, nil
 }
 
@@ -514,39 +475,6 @@ func verdictStatus(v invariant.Verdict) Status {
 	default:
 		return Inconclusive
 	}
-}
-
-// perK runs fn(k) for every k in [lo, hi] across at most workers
-// goroutines, returning the error for the smallest failing k (matching
-// what a sequential ascending loop would have surfaced first).
-func perK(lo, hi, workers int, fn func(k int) error) error {
-	if workers <= 1 || hi-lo < 1 {
-		for k := lo; k <= hi; k++ {
-			if err := fn(k); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, hi+1)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for k := lo; k <= hi; k++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[k] = fn(k)
-		}(k)
-	}
-	wg.Wait()
-	for k := lo; k <= hi; k++ {
-		if errs[k] != nil {
-			return errs[k]
-		}
-	}
-	return nil
 }
 
 // Summary renders a human-readable digest.
