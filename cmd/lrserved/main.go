@@ -1,6 +1,8 @@
 // Command lrserved runs the verification service: an HTTP JSON API over a
 // bounded job queue, a fixed pool of verification workers, and a
-// content-addressed result cache (see internal/service).
+// content-addressed result cache (see internal/service). A result enters
+// the cache only as the outcome of a job the service dispatched; no
+// endpoint stores a result by cache key.
 //
 // Usage:
 //
@@ -32,8 +34,12 @@
 // jobs under heartbeat-renewed leases:
 //
 //	lrserved -coordinator -cache-dir /var/cache/lrserved          # coordinator
-//	lrserved -join http://coordinator:8420 -addr :8421 \
-//	         -advertise http://worker1:8421                       # worker node
+//	lrserved -join http://coordinator:8420 -addr :8421            # worker node
+//
+// A -join worker keeps no result cache and no journal: it returns every
+// verdict to the coordinator, which alone caches it, so -cache-size and
+// -cache-dir apply to the coordinator and the single node only. Its
+// listener serves /healthz and nothing else.
 //
 // A worker that dies, hangs, or partitions mid-job loses its lease after
 // -lease-ttl without a heartbeat and the job re-dispatches with backoff;
@@ -144,25 +150,21 @@ func validateClusterFlags(coordinator bool, join string, leaseTTL, heartbeat tim
 
 // workerConfig carries the flag subset a -join worker node uses.
 type workerConfig struct {
-	addr, coordinator, id, advertise string
-	memBudget                        uint64
-	slots                            int
-	cacheSize, specCacheSize         int
-	cacheDir                         string
+	addr, coordinator, id string
+	memBudget             uint64
+	slots                 int
+	specCacheSize         int
 }
 
-// runWorker is the -join main loop: serve the worker's cache/health
-// surface on addr, pull tasks from the coordinator until SIGINT/SIGTERM.
+// runWorker is the -join main loop: serve the worker's health surface on
+// addr, pull tasks from the coordinator until SIGINT/SIGTERM.
 func runWorker(cfg workerConfig) {
 	node, err := service.NewWorkerNode(service.WorkerNodeConfig{
 		Coordinator:    cfg.coordinator,
 		ID:             cfg.id,
-		AdvertiseAddr:  cfg.advertise,
 		MemBudgetBytes: cfg.memBudget,
 		Slots:          cfg.slots,
-		CacheSize:      cfg.cacheSize,
 		SpecCacheSize:  cfg.specCacheSize,
-		CacheDir:       cfg.cacheDir,
 	})
 	if err != nil {
 		cli.Exit("lrserved", 1, err)
@@ -202,8 +204,8 @@ func main() {
 	engineWorkers := flag.Int("engine-workers", 1, "explicit-engine workers per job")
 	jobTimeout := flag.Duration("job-timeout", 60*time.Second, "default per-job deadline")
 	maxTimeout := flag.Duration("max-job-timeout", 10*time.Minute, "clamp for client-supplied deadlines")
-	cacheSize := flag.Int("cache-size", 1024, "in-memory result cache entries")
-	cacheDir := flag.String("cache-dir", "", "directory for the persistent result cache and job journal (empty = memory only, no crash recovery)")
+	cacheSize := flag.Int("cache-size", 1024, "in-memory result cache entries (unused with -join: workers keep no result cache)")
+	cacheDir := flag.String("cache-dir", "", "directory for the persistent result cache and job journal (empty = memory only, no crash recovery; unused with -join)")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget before in-flight jobs are canceled")
 	maxAttempts := flag.Int("max-attempts", 3, "execution attempts per job before poison quarantine")
 	retryBase := flag.Duration("retry-base-delay", 100*time.Millisecond, "first retry backoff (doubles per attempt, jittered, capped at 30s)")
@@ -215,7 +217,6 @@ func main() {
 	join := flag.String("join", "", "coordinator base URL to join as a worker node (mutually exclusive with -coordinator)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "cluster lease lifetime without a heartbeat; expiry re-dispatches the job")
 	heartbeatInterval := flag.Duration("heartbeat-interval", 2500*time.Millisecond, "cluster lease renewal cadence; must be below -lease-ttl")
-	advertise := flag.String("advertise", "", "base URL peers use to reach this node's federated-cache endpoints (worker mode; empty = serve no cache slice)")
 	workerID := flag.String("worker-id", "", "cluster worker id (worker mode; default the hostname)")
 	flag.Parse()
 
@@ -232,9 +233,8 @@ func main() {
 
 	if *join != "" {
 		runWorker(workerConfig{
-			addr: *addr, coordinator: *join, id: *workerID, advertise: *advertise,
-			memBudget: *memBudget, slots: *workers,
-			cacheSize: *cacheSize, specCacheSize: *specCacheSize, cacheDir: *cacheDir,
+			addr: *addr, coordinator: *join, id: *workerID,
+			memBudget: *memBudget, slots: *workers, specCacheSize: *specCacheSize,
 		})
 		return
 	}

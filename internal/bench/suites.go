@@ -88,8 +88,11 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 	// iteration (parse + validate + table construction — what every
 	// submission paid before the cache existed); hit resubmits the same
 	// bytes to a warm cache (the alias index short-circuits even the
-	// parse). The ratio of these two rows is the cache's latency win on
-	// repeat submissions; PERFORMANCE.md tracks it.
+	// parse); hit-unaliased rotates the same warm cache through one more
+	// formatting variant than an entry keeps aliases for, so every call
+	// misses the alias index and pays a parse before the canonical lookup
+	// hits. cold/hit is the cache's latency win on repeat submissions and
+	// hit-unaliased/hit the alias index's; PERFORMANCE.md tracks both.
 	s.Add("speccache/compile/cold", Measure(cfg.Benchtime, func(n int) {
 		for i := 0; i < n; i++ {
 			if _, _, err := verify.NewSpecCache(4).Compile(benchSpec); err != nil {
@@ -106,6 +109,19 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 			if _, _, err := warm.Compile(benchSpec); err != nil {
 				panic(err)
 			}
+		}
+	}), nil)
+	variants := make([]string, verify.SpecCacheAliasFactor+1)
+	for i := range variants {
+		variants[i] = fmt.Sprintf("# formatting variant %d\n%s", i, benchSpec)
+	}
+	next := 0 // the rotation continues across calibration rounds
+	s.Add("speccache/compile/hit-unaliased", Measure(cfg.Benchtime, func(n int) {
+		for i := 0; i < n; i++ {
+			if _, _, err := warm.Compile(variants[next%len(variants)]); err != nil {
+				panic(err)
+			}
+			next++
 		}
 	}), nil)
 

@@ -20,6 +20,7 @@ func TestVerifySuiteSmoke(t *testing.T) {
 	for _, name := range []string{
 		"speccache/compile/cold",
 		"speccache/compile/hit",
+		"speccache/compile/hit-unaliased",
 		"verify/check/sum-not-two",
 		"verify/check/cold-d4-40",
 		"verify/check/cold-d4-70",

@@ -31,8 +31,10 @@
 //     interchangeable, and verdicts are byte-identical either way.
 //
 // The package deliberately does not import internal/service: the service
-// owns jobs, journal, retries and caching, and drives the coordinator
-// through callbacks (Events), so the dependency points one way.
+// owns jobs, journal, retries and the result cache, and drives the
+// coordinator through callbacks (Events), so the dependency points one
+// way. Workers keep no result cache: every verdict travels back to the
+// coordinator, and only the coordinator caches it.
 package cluster
 
 import (
@@ -59,17 +61,11 @@ var (
 	ErrStopped       = errors.New("coordinator stopped")
 )
 
-// WorkerInfo is a worker's registration: identity, an optional reachable
-// address (remote workers; also their federated-cache endpoint), the
-// advertised explicit-table memory budget placement checks estimates
-// against (0 = unlimited), and the number of concurrent tasks the worker
-// accepts.
+// WorkerInfo is a worker's registration: identity, the advertised
+// explicit-table memory budget placement checks estimates against
+// (0 = unlimited), and the number of concurrent tasks the worker accepts.
 type WorkerInfo struct {
 	ID string `json:"id"`
-	// Addr, when non-empty, is the worker's base URL (remote workers).
-	// Workers with an address also serve a shard of the federated result
-	// cache.
-	Addr string `json:"addr,omitempty"`
 	// MemBudgetBytes caps the pre-run explicit-table estimate of tasks
 	// placed on this worker (0 = unlimited).
 	MemBudgetBytes uint64 `json:"mem_budget_bytes,omitempty"`
@@ -123,7 +119,7 @@ func (t Task) Deadline() time.Time {
 }
 
 // Events are the coordinator's callbacks into its owner (the service):
-// journaling, metrics, and federated-cache membership all hang off these.
+// journaling and metrics hang off these.
 // Nil fields are skipped. Callbacks run outside the coordinator's mutex
 // and must not call back into the coordinator synchronously.
 type Events struct {
@@ -140,9 +136,6 @@ type Events struct {
 	// WorkerJoined / WorkerLost track registry membership.
 	WorkerJoined func(info WorkerInfo)
 	WorkerLost   func(id, reason string)
-	// PeersChanged fires with the full addressable-peer set whenever it
-	// changes; the service rewires the federated cache ring from it.
-	PeersChanged func(peers []Peer)
 }
 
 // Config tunes a Coordinator. Zero values select the documented defaults.

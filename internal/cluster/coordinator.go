@@ -165,10 +165,8 @@ func (c *Coordinator) expireDue(now time.Time) {
 		}
 		due = append(due, e)
 	}
-	var peers []Peer
 	if len(due) > 0 {
 		c.cond.Broadcast()
-		peers = c.peersLocked()
 	}
 	c.mu.Unlock()
 
@@ -186,11 +184,6 @@ func (c *Coordinator) expireDue(now time.Time) {
 			}
 		}
 		e.l.done(nil, e.l.worker, fmt.Errorf("%w: job %s on worker %s", ErrLeaseExpired, e.l.task.JobID, e.l.worker))
-	}
-	if len(due) > 0 {
-		if ev := c.cfg.Events.PeersChanged; ev != nil {
-			ev(peers)
-		}
 	}
 }
 
@@ -236,13 +229,9 @@ func (c *Coordinator) register(info WorkerInfo, remote bool) error {
 	m = &member{info: info, remote: remote, lastSeen: time.Now()}
 	c.workers[info.ID] = m
 	c.cond.Broadcast()
-	peers := c.peersLocked()
 	c.mu.Unlock()
 	if ev := c.cfg.Events.WorkerJoined; ev != nil {
 		ev(info)
-	}
-	if ev := c.cfg.Events.PeersChanged; ev != nil {
-		ev(peers)
 	}
 	return nil
 }
@@ -254,33 +243,13 @@ func (c *Coordinator) Leave(id string) {
 	c.mu.Lock()
 	_, known := c.workers[id]
 	delete(c.workers, id)
-	var peers []Peer
 	if known {
 		c.cond.Broadcast()
-		peers = c.peersLocked()
 	}
 	c.mu.Unlock()
-	if !known {
-		return
-	}
-	if ev := c.cfg.Events.WorkerLost; ev != nil {
+	if ev := c.cfg.Events.WorkerLost; known && ev != nil {
 		ev(id, "left")
 	}
-	if ev := c.cfg.Events.PeersChanged; ev != nil {
-		ev(peers)
-	}
-}
-
-// peersLocked renders the addressable member set for the federated cache.
-func (c *Coordinator) peersLocked() []Peer {
-	var peers []Peer
-	for _, m := range c.workers {
-		if m.info.Addr != "" {
-			peers = append(peers, Peer{ID: m.info.ID, Addr: m.info.Addr})
-		}
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i].ID < peers[j].ID })
-	return peers
 }
 
 // Workers returns a point-in-time view of the registry, sorted by id.

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,6 +36,20 @@ func (s *stubRunner) Run(ctx context.Context, t Task) (*verify.Result, error) {
 		return nil, s.err
 	}
 	return &verify.Result{Deadlock: "proved", Livelock: "proved", SelfStabilizing: true}, nil
+}
+
+// newTestMux mounts the coordinator endpoints for transport tests.
+func newTestMux(c *Coordinator) *http.ServeMux {
+	mux := http.NewServeMux()
+	Mount(mux, c)
+	return mux
+}
+
+func newTestServer(t *testing.T, h http.Handler) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	return srv
 }
 
 func testTask(id string) Task {
@@ -425,7 +441,7 @@ func TestRemoteWorkerRoundTrip(t *testing.T) {
 	defer cancel()
 	rw := &Remote{
 		Coordinator: srv.URL,
-		Info:        WorkerInfo{ID: "rw1", Addr: srv.URL},
+		Info:        WorkerInfo{ID: "rw1"},
 		Runner:      &stubRunner{delay: 500 * time.Millisecond}, // outlives the TTL: heartbeats must carry it
 		PollWait:    100 * time.Millisecond,
 	}

@@ -15,13 +15,10 @@ import "fmt"
 //	                     arrives late and must be dropped)
 //	coordinator-restart  the coordinator crashes mid-flight and must
 //	                     recover leases from the journal on restart
-//	cache-partition      federated cache peers become unreachable; lookups
-//	                     must degrade to local misses, never fail
 const (
 	ScenarioWorkerKill         = "worker-kill"
 	ScenarioHeartbeatBlackhole = "heartbeat-blackhole"
 	ScenarioCoordinatorRestart = "coordinator-restart"
-	ScenarioCachePartition     = "cache-partition"
 )
 
 // ClusterScenarios lists every cluster fault scenario, in the order CI's
@@ -31,28 +28,25 @@ func ClusterScenarios() []string {
 		ScenarioWorkerKill,
 		ScenarioHeartbeatBlackhole,
 		ScenarioCoordinatorRestart,
-		ScenarioCachePartition,
 	}
 }
 
 // Cluster site names armed by ClusterPlan. SiteWorkerKill and
 // SiteHeartbeatBlackhole are asked once per dispatched attempt;
 // SiteCoordinatorCrash once per completed job (firing crashes the
-// coordinator after that completion); SiteCachePartition once per
-// federated cache call to a peer.
+// coordinator after that completion).
 const (
 	SiteWorkerKill         = "cluster/worker-kill"
 	SiteHeartbeatBlackhole = "cluster/heartbeat-blackhole"
 	SiteCoordinatorCrash   = "cluster/coordinator-crash"
-	SiteCachePartition     = "cluster/cache-partition"
 )
 
 // ClusterPlan builds the deterministic fault schedule for one cluster
 // chaos scenario. The rates are chosen so a small job batch exercises the
 // scenario's failover path at least once without drowning the run:
 // kill/blackhole fire on every 3rd attempt (deterministic, so the suite
-// can predict exactly which jobs fail over), a coordinator crash fires on
-// the 2nd completion, and a cache partition drops every peer call.
+// can predict exactly which jobs fail over), and a coordinator crash fires
+// on the 2nd completion.
 func ClusterPlan(scenario string, seed int64) (*Plan, error) {
 	p := New(seed)
 	switch scenario {
@@ -62,8 +56,6 @@ func ClusterPlan(scenario string, seed int64) (*Plan, error) {
 		p.ArmEvery(SiteHeartbeatBlackhole, 3)
 	case ScenarioCoordinatorRestart:
 		p.ArmEvery(SiteCoordinatorCrash, 2)
-	case ScenarioCachePartition:
-		p.Arm(SiteCachePartition, 1)
 	default:
 		return nil, fmt.Errorf("faultinject: unknown cluster scenario %q", scenario)
 	}

@@ -10,7 +10,6 @@ func TestClusterPlanScenarios(t *testing.T) {
 		ScenarioWorkerKill:         SiteWorkerKill,
 		ScenarioHeartbeatBlackhole: SiteHeartbeatBlackhole,
 		ScenarioCoordinatorRestart: SiteCoordinatorCrash,
-		ScenarioCachePartition:     SiteCachePartition,
 	}
 	for _, sc := range ClusterScenarios() {
 		p, err := ClusterPlan(sc, 42)
@@ -49,7 +48,6 @@ func TestClusterPlanDeterministic(t *testing.T) {
 			ScenarioWorkerKill:         SiteWorkerKill,
 			ScenarioHeartbeatBlackhole: SiteHeartbeatBlackhole,
 			ScenarioCoordinatorRestart: SiteCoordinatorCrash,
-			ScenarioCachePartition:     SiteCachePartition,
 		}[sc]
 		for i := 0; i < 50; i++ {
 			if a.Fire(site) != b.Fire(site) {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -15,8 +14,8 @@ import (
 // a lease-holding worker — in-process LocalWorkers configured here,
 // remote lrserved processes joined over HTTP, or both. The journal gains
 // lease records so a coordinator restart knows which jobs were running
-// where; the result cache gains a consistent-hash federated tier over
-// the worker peers.
+// where. The result cache stays the coordinator's own: workers return
+// verdicts and cache nothing.
 type ClusterConfig struct {
 	// LeaseTTL is how long a lease survives without a heartbeat (default
 	// 10s). Must exceed HeartbeatInterval; cmd/lrserved validates this at
@@ -31,27 +30,22 @@ type ClusterConfig struct {
 	// budget (0 = unlimited).
 	WorkerMemBudgetBytes uint64
 
-	// Fault-injection seams for the chaos suite (nil in production).
-	// HeartbeatFilter gates local workers' renewals (false = blackholed);
-	// CachePeerBlackhole force-fails federated cache calls to a peer.
-	HeartbeatFilter    func(workerID, jobID string) bool
-	CachePeerBlackhole func(peer cluster.Peer) bool
+	// Fault-injection seam for the chaos suite (nil in production):
+	// HeartbeatFilter gates local workers' renewals (false = blackholed).
+	HeartbeatFilter func(workerID, jobID string) bool
 	// Observer receives one call per cluster event — the chaos transcript
 	// hook (nil = none). Events: lease-granted, lease-renewed,
 	// lease-expired, late-result, worker-joined, worker-lost, redispatch.
 	Observer func(event, jobID, workerID string)
 }
 
-// coordinatorID names the coordinator on the federated-cache ring and
-// prefixes its in-process workers' ids.
+// coordinatorID prefixes the coordinator's in-process worker ids.
 const coordinatorID = "coordinator"
 
-// initCluster builds the coordinator and federation. Called from New
-// before replay so recovered leases can be reinstalled.
+// initCluster builds the coordinator. Called from New before replay so
+// recovered leases can be reinstalled.
 func (s *Service) initCluster() {
 	cc := s.cfg.Cluster
-	s.fed = cluster.NewFederation(coordinatorID)
-	s.fed.Blackhole = cc.CachePeerBlackhole
 	s.coord = cluster.NewCoordinator(cluster.Config{
 		LeaseTTL:          cc.LeaseTTL,
 		HeartbeatInterval: cc.HeartbeatInterval,
@@ -88,9 +82,6 @@ func (s *Service) initCluster() {
 			WorkerLost: func(id, reason string) {
 				s.metrics.ClusterWorkersLost.Add(1)
 				s.observeCluster("worker-lost", reason, id)
-			},
-			PeersChanged: func(peers []cluster.Peer) {
-				s.fed.SetPeers(peers)
 			},
 		},
 	})
@@ -201,50 +192,4 @@ func (s *Service) recoverLease(j *Job, workerID string, expiry time.Time) {
 	s.metrics.JobsReplayed.Add(1)
 	s.metrics.JobsRunning.Add(1)
 	s.coord.Recover(s.taskForJob(j, 1), workerID, expiry, s.leaseDone(j, nil))
-}
-
-// cacheGet is the read-through cache lookup: local memory/disk tiers
-// first, then — on miss, in cluster mode — the federated tier keyed by
-// consistent hash over the content address. A federated fetch failure is
-// a plain miss (degraded, never failing); a hit is promoted into the
-// local cache.
-func (s *Service) cacheGet(key string) (*Result, bool) {
-	if res, ok := s.cache.Get(key); ok {
-		return res, true
-	}
-	if s.fed == nil || s.fed.Peers() == 0 {
-		return nil, false
-	}
-	ctx, cancel := context.WithTimeout(s.runCtx, 2*time.Second)
-	defer cancel()
-	data, ok := s.fed.Fetch(ctx, key)
-	if !ok {
-		return nil, false
-	}
-	var res Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, false
-	}
-	s.cache.insert(key, &res)
-	return &res, true
-}
-
-// offerToPeers pushes a fresh result to its owning cache peer,
-// best-effort and asynchronous — a lost offer only costs a future
-// federated hit.
-func (s *Service) offerToPeers(key string, res *Result) {
-	if s.fed == nil || s.fed.Peers() == 0 {
-		return
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		return
-	}
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		if err := s.fed.Offer(ctx, key, data); err != nil {
-			s.cfg.Log.Printf("cluster: federated cache offer: %v", err)
-		}
-	}()
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"paramring/internal/cluster"
 	"paramring/internal/faultinject"
 )
 
@@ -461,64 +460,5 @@ func TestClusterChaosCoordinatorRestart(t *testing.T) {
 	// Expired-at-boot leases re-dispatch exactly once each.
 	if exp, red := m2.ClusterLeasesExpired.Load(), m2.ClusterRedispatches.Load(); red < exp {
 		t.Fatalf("expired %d leases but only %d redispatches", exp, red)
-	}
-}
-
-// TestClusterChaosCachePartition: federated cache peers become
-// unreachable. Every peer lookup must degrade to a local miss — counted,
-// never an error — and every job must still complete with its baseline
-// verdict from local computation.
-func TestClusterChaosCachePartition(t *testing.T) {
-	seed := chaosSeed(t)
-	const n = 10
-	baseline := chaosBaseline(t, n)
-	plan, err := faultinject.ClusterPlan(faultinject.ScenarioCachePartition, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := newChaosTranscript(faultinject.ScenarioCachePartition, seed)
-	defer tr.flush(t)
-
-	svc := newTestService(t, Config{
-		QueueSize: 64, CacheDir: t.TempDir(),
-		MaxAttempts: 3, RetryBaseDelay: time.Millisecond,
-		Cluster: &ClusterConfig{
-			LeaseTTL: time.Second, HeartbeatInterval: 100 * time.Millisecond,
-			LocalWorkers: 3, Observer: tr.record,
-			CachePeerBlackhole: func(p cluster.Peer) bool {
-				return plan.Fire(faultinject.SiteCachePartition)
-			},
-		},
-	}, true)
-
-	// Local workers advertise no cache address, so install a synthetic
-	// peer ring: every owner lookup now resolves to a partitioned peer.
-	// (TEST-NET addresses; the blackhole fires before any network touch.)
-	svc.fed.SetPeers([]cluster.Peer{
-		{ID: "peer-a", Addr: "http://192.0.2.10:1"},
-		{ID: "peer-b", Addr: "http://192.0.2.11:1"},
-	})
-
-	jobs := make([]*Job, 0, n)
-	for i := 0; i < n; i++ {
-		j, err := svc.Submit(chaosRequest(i))
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		jobs = append(jobs, j)
-	}
-	for _, j := range jobs {
-		waitDone(t, j)
-		requireBaselineVerdict(t, baseline, svc.Snapshot(j))
-	}
-	if fired := plan.Count(faultinject.SiteCachePartition); fired == 0 {
-		t.Fatalf("seed %d: no federated cache call was attempted; vacuous run", seed)
-	}
-	// Degraded, never failing: the partition shows up in the stats and
-	// nowhere else.
-	if st := svc.fed.Stats(); st.Degraded == 0 {
-		t.Fatalf("federation stats show no degraded calls: %+v", st)
-	} else if st.Hits != 0 {
-		t.Fatalf("federation reported hits from partitioned peers: %+v", st)
 	}
 }

@@ -23,8 +23,7 @@ const maxRequestBytes = 1 << 20
 //	GET  /metrics              Prometheus text exposition
 //
 // In cluster-coordinator mode the worker protocol (POST /cluster/v1/
-// join|poll|heartbeat|complete|leave) is mounted too, and the
-// content-addressed cache is served to peers on /cluster/v1/cache/{key}.
+// join|poll|heartbeat|complete|leave) is mounted too.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/verify", s.handleVerify)
@@ -37,35 +36,7 @@ func (s *Service) Handler() http.Handler {
 	if s.coord != nil {
 		cluster.Mount(mux, s.coord)
 	}
-	mountCacheEndpoints(mux, s.cache)
 	return mux
-}
-
-// mountCacheEndpoints serves the local tiers of the content-addressed
-// result cache to federated peers. Strictly local — a peer-served lookup
-// never recurses into this node's own federation client.
-func mountCacheEndpoints(mux *http.ServeMux, cache *resultCache) {
-	mux.HandleFunc("GET /cluster/v1/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		res, ok := cache.Get(r.PathValue("key"))
-		if !ok {
-			writeError(w, http.StatusNotFound, errors.New("no result under key"))
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	})
-	mux.HandleFunc("PUT /cluster/v1/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		var res Result
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-		if err := dec.Decode(&res); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := cache.Put(r.PathValue("key"), &res); err != nil {
-			// The memory tier still got it; report success-degraded.
-			cache.insert(r.PathValue("key"), &res)
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -214,14 +185,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"lrserved_mem_in_use_bytes":   float64(st.MemInUseBytes),
 	}
 	if s.coord != nil {
-		fs := s.fed.Stats()
 		extras["lrserved_cluster_workers"] = float64(st.ClusterWorkers)
 		extras["lrserved_cluster_leases"] = float64(st.ClusterLeases)
-		extras["lrserved_cluster_cache_peers"] = float64(st.CachePeers)
-		extras["lrserved_cluster_cache_federation_hits"] = float64(fs.Hits)
-		extras["lrserved_cluster_cache_federation_misses"] = float64(fs.Misses)
-		extras["lrserved_cluster_cache_federation_degraded"] = float64(fs.Degraded)
-		extras["lrserved_cluster_cache_federation_offers"] = float64(fs.Offers)
 	}
 	s.metrics.WriteTo(w, extras)
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -60,35 +59,65 @@ type journal struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
+	// skipped holds one error per whole line openJournal could not decode;
+	// New counts and logs them.
+	skipped []error
 }
 
 // openJournal opens (creating if absent) the WAL at path and returns the
-// records already in it. A torn final line — the signature of a crash
-// mid-append — is tolerated and dropped; everything before it was synced.
+// records already in it. An unterminated final line is what a crash
+// mid-append leaves. When it does not decode it is cut off the file, so
+// the next append starts a line of its own; when it does decode it is
+// kept and its newline written. A whole line that does not decode is
+// skipped and noted in skipped, and the records after it still replay.
+// Lines have no length limit: a spec of escaped characters can journal a
+// record larger than the request that carried it.
 func openJournal(path string) (*journal, []journalRecord, error) {
-	var recs []journalRecord
-	if data, err := os.ReadFile(path); err == nil {
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		sc.Buffer(make([]byte, 0, 64<<10), maxRequestBytes+4096)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var rec journalRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				break // torn tail: ignore it and everything after
-			}
-			recs = append(recs, rec)
-		}
-	} else if !os.IsNotExist(err) {
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("service: journal: %w", err)
+	}
+	var (
+		recs       []journalRecord
+		skipped    []error
+		addNewline bool
+		off        int
+	)
+	for i, line := range bytes.SplitAfter(data, []byte{'\n'}) {
+		start := off
+		off += len(line)
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		whole := line[len(line)-1] == '\n'
+		var rec journalRecord
+		switch err := json.Unmarshal(line, &rec); {
+		case err == nil:
+			recs = append(recs, rec)
+			addNewline = !whole
+		case whole:
+			skipped = append(skipped, fmt.Errorf("line %d: %w", i+1, err))
+		default:
+			if err := os.Truncate(path, int64(start)); err != nil {
+				return nil, nil, fmt.Errorf("service: journal: cut torn tail: %w", err)
+			}
+		}
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: journal: %w", err)
 	}
-	return &journal{path: path, f: f}, recs, nil
+	if addNewline {
+		_, err = f.Write([]byte{'\n'})
+		if err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("service: journal: %w", err)
+		}
+	}
+	return &journal{path: path, f: f, skipped: skipped}, recs, nil
 }
 
 // append writes one record and fsyncs before returning, so a record the

@@ -84,6 +84,124 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalAppendAfterTornTail: reopening a journal with a torn tail
+// cuts the tail off the file, so the next boot's first append starts a
+// line of its own and the boot after that replays it. Appending onto the
+// torn bytes would glue the new record to them and lose it.
+func TestJournalAppendAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	w, _, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.append(journalRecord{Op: opSubmit, ID: "job-1", Spec: tinySpec}); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"op":"done","id":"job-`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	w, recs, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("records after torn tail = %+v", recs)
+	}
+	if err := w.append(journalRecord{Op: opSubmit, ID: "job-2", Spec: tinySpec}); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+
+	_, recs, err = openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].ID != "job-1" || recs[1].ID != "job-2" {
+		t.Fatalf("records after append past a torn tail = %+v, want job-1 and job-2", recs)
+	}
+}
+
+// TestJournalLongRecord: a record longer than any line buffer replays, and
+// so does the record after it. encoding/json writes '&' as a six-byte
+// escape, so a spec of '&'s under the 1 MiB request bound journals a
+// record past it.
+func TestJournalLongRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	w, _, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := journalRecord{Op: opSubmit, ID: "job-1", Spec: strings.Repeat("&", 190_000)}
+	if err := w.append(long); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.append(journalRecord{Op: opSubmit, ID: "job-2", Spec: tinySpec}); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() < 1_100_000 {
+		t.Fatalf("journal size = %d bytes, want a record over 1.1 MB", fi.Size())
+	}
+
+	_, recs, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0] != long || recs[1].ID != "job-2" {
+		t.Fatalf("replayed %d records, want the long record and job-2", len(recs))
+	}
+}
+
+// TestJournalSkipsUndecodableLine: a whole line that does not decode is
+// counted in JournalErrors and skipped; the jobs on either side of it
+// still replay.
+func TestJournalSkipsUndecodableLine(t *testing.T) {
+	dir := t.TempDir()
+	svc1 := newTestService(t, Config{Workers: 1, CacheDir: dir}, false)
+	j1, err := svc1.Submit(Request{Spec: tinySpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical := j1.spec.canonical
+	svc1.crash()
+
+	path := filepath.Join(dir, "journal.wal")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("{\"op\":\"done\",\"id\":\"job-\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	w, _, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.append(journalRecord{Op: opSubmit, ID: "job-000002", Name: "tiny", Spec: canonical}); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+
+	svc2 := newTestService(t, Config{Workers: 1, CacheDir: dir}, false)
+	if got := svc2.Metrics().JournalErrors.Load(); got != 1 {
+		t.Fatalf("JournalErrors = %d, want 1 for the undecodable line", got)
+	}
+	if got := svc2.Metrics().JobsReplayed.Load(); got != 2 {
+		t.Fatalf("JobsReplayed = %d, want 2: replay must continue past the bad line", got)
+	}
+	svc2.crash()
+}
+
 func TestJournalCompact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
 	w, _, err := openJournal(path)

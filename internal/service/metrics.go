@@ -25,7 +25,7 @@ type Metrics struct {
 	JobsReplayed    atomic.Uint64 // jobs reconstructed from the journal at startup
 
 	CacheWriteErrors atomic.Uint64 // write-through failures (job still succeeds)
-	JournalErrors    atomic.Uint64 // WAL append/compaction failures
+	JournalErrors    atomic.Uint64 // WAL append/compaction failures, undecodable records skipped at boot
 
 	JobsQueued  atomic.Int64 // gauge: accepted, not yet picked up
 	JobsRunning atomic.Int64 // gauge: currently on a worker
@@ -209,7 +209,7 @@ func (m *Metrics) WriteTo(w io.Writer, extraGauges map[string]float64) {
 	counter("lrserved_jobs_quarantined_total", "Jobs moved to the poison quarantine.", m.JobsQuarantined.Load())
 	counter("lrserved_jobs_replayed_total", "Jobs replayed from the journal at startup.", m.JobsReplayed.Load())
 	counter("lrserved_cache_write_errors_total", "Result write-through failures (the job still succeeds).", m.CacheWriteErrors.Load())
-	counter("lrserved_journal_errors_total", "Job-journal append or compaction failures.", m.JournalErrors.Load())
+	counter("lrserved_journal_errors_total", "Job-journal append or compaction failures, and undecodable records skipped at replay.", m.JournalErrors.Load())
 	counter("lrserved_cache_hits_total", "Verifications served from the result cache.", m.CacheHits.Load())
 	counter("lrserved_cache_misses_total", "Verifications that had to run the engine.", m.CacheMisses.Load())
 	counter("lrserved_spec_cache_hits_total", "Submissions whose spec compile was served from the compiled-spec cache.", m.SpecCacheHits.Load())

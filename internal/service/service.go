@@ -194,10 +194,8 @@ type Service struct {
 	runner cluster.Runner
 
 	// Cluster-coordinator state, nil/empty outside cluster mode: the lease
-	// coordinator, the federated result-cache tier, and the in-process
-	// workers.
+	// coordinator and the in-process workers.
 	coord          *cluster.Coordinator
-	fed            *cluster.Federation
 	clusterWorkers []*cluster.LocalWorker
 
 	queue     chan *Job
@@ -273,6 +271,12 @@ func New(cfg Config) (*Service, error) {
 		cacheErrSeen: make(map[string]bool),
 	}
 	s.runner = &cluster.LocalRunner{Specs: s.specs, Memos: s.memos}
+	if wal != nil {
+		for _, err := range wal.skipped {
+			s.metrics.JournalErrors.Add(1)
+			cfg.Log.Printf("journal: skipped undecodable record: %v", err)
+		}
+	}
 	if cfg.Cluster != nil {
 		// Before replay: recovered leases are reinstalled on the coordinator.
 		s.initCluster()
@@ -458,7 +462,7 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	degraded := false
 	if budget := s.cfg.MemoryBudgetBytes; budget > 0 && estimate > budget {
 		if !s.cfg.DegradeOverBudget {
-			if _, ok := s.cacheGet(key); !ok {
+			if _, ok := s.cache.Get(key); !ok {
 				return nil, fmt.Errorf("%w: estimate %d bytes, budget %d bytes", ErrOverBudget, estimate, budget)
 			}
 			// A cached verdict needs no memory; fall through to the hit.
@@ -488,7 +492,7 @@ func (s *Service) Submit(req Request) (*Job, error) {
 		done:      make(chan struct{}),
 	}
 
-	if res, ok := s.cacheGet(key); ok {
+	if res, ok := s.cache.Get(key); ok {
 		s.metrics.CacheHits.Add(1)
 		s.metrics.JobsDone.Add(1)
 		s.mu.Lock()
@@ -864,7 +868,6 @@ func (s *Service) writeThrough(key string, res *Result) {
 		err = s.cache.Put(key, res)
 	}
 	if err == nil {
-		s.offerToPeers(key, res)
 		return
 	}
 	s.metrics.CacheWriteErrors.Add(1)
@@ -954,11 +957,10 @@ type Stats struct {
 	// canonical-text compiles. The lrserved_spec_cache_{hits,misses}_total
 	// metrics count submissions only — they are the front-end skip rate.
 	SpecCache verify.SpecCacheStats `json:"spec_cache"`
-	// Cluster occupancy (coordinator mode only): registered workers,
-	// outstanding leases, and federated-cache peers on the ring.
+	// Cluster occupancy (coordinator mode only): registered workers and
+	// outstanding leases.
 	ClusterWorkers int `json:"cluster_workers,omitempty"`
 	ClusterLeases  int `json:"cluster_leases,omitempty"`
-	CachePeers     int `json:"cache_peers,omitempty"`
 }
 
 // Stats returns current occupancy.
@@ -986,7 +988,6 @@ func (s *Service) Stats() Stats {
 	if s.coord != nil {
 		st.ClusterWorkers = len(s.coord.Workers())
 		st.ClusterLeases = s.coord.Outstanding()
-		st.CachePeers = s.fed.Peers()
 	}
 	return st
 }

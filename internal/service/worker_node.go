@@ -13,14 +13,12 @@ import (
 )
 
 // WorkerNode is the process-level worker role behind `lrserved -join`: a
-// node that owns no queue and no journal, only a verification engine and
-// a local slice of the federated result cache. It joins a coordinator
-// over HTTP, pulls tasks under leases, and serves its cache tiers to
-// peers on the same /cluster/v1/cache/{key} surface the coordinator
-// mounts — which is what makes the consistent-hash federation symmetric.
+// node that owns no queue, no journal and no result cache, only a
+// verification engine. It joins a coordinator over HTTP, pulls tasks
+// under leases, and returns each verdict to the coordinator, which alone
+// caches it.
 type WorkerNode struct {
 	cfg    WorkerNodeConfig
-	cache  *resultCache
 	runner cluster.Runner
 }
 
@@ -31,18 +29,13 @@ type WorkerNodeConfig struct {
 	// ID names this worker; must be unique across the cluster (default
 	// the hostname, then "worker").
 	ID string
-	// AdvertiseAddr is the base URL peers use to reach this node's cache
-	// endpoints (empty = this node serves no federated cache slice).
-	AdvertiseAddr string
 	// MemBudgetBytes is the advertised placement budget (0 = unlimited).
 	MemBudgetBytes uint64
 	// Slots is the concurrent-task capacity (default 1).
 	Slots int
-	// CacheSize / SpecCacheSize / CacheDir mirror the service's cache
-	// knobs for the node-local tiers.
-	CacheSize     int
+	// SpecCacheSize bounds the compiled-spec cache, as the service's
+	// knob of the same name does.
 	SpecCacheSize int
-	CacheDir      string
 	Log           *log.Logger
 }
 
@@ -53,9 +46,6 @@ func (c WorkerNodeConfig) withDefaults() WorkerNodeConfig {
 		} else {
 			c.ID = "worker"
 		}
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 1024
 	}
 	if c.SpecCacheSize == 0 {
 		c.SpecCacheSize = 1024
@@ -74,13 +64,8 @@ func NewWorkerNode(cfg WorkerNodeConfig) (*WorkerNode, error) {
 	if cfg.Coordinator == "" {
 		return nil, fmt.Errorf("service: worker node: coordinator URL required")
 	}
-	cache, err := newResultCache(cfg.CacheSize, cfg.CacheDir)
-	if err != nil {
-		return nil, err
-	}
 	return &WorkerNode{
-		cfg:   cfg,
-		cache: cache,
+		cfg: cfg,
 		runner: &cluster.LocalRunner{
 			Specs: verify.NewSpecCache(cfg.SpecCacheSize),
 			Memos: corpus.NewFamilyMemos(0),
@@ -88,20 +73,17 @@ func NewWorkerNode(cfg WorkerNodeConfig) (*WorkerNode, error) {
 	}, nil
 }
 
-// Handler returns the worker node's HTTP surface: liveness plus the
-// federated-cache endpoints peers read through.
+// Handler returns the worker node's HTTP surface: liveness only.
 func (n *WorkerNode) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
-			"status":        "ok",
-			"role":          "worker",
-			"worker_id":     n.cfg.ID,
-			"coordinator":   n.cfg.Coordinator,
-			"cache_entries": n.cache.Len(),
+			"status":      "ok",
+			"role":        "worker",
+			"worker_id":   n.cfg.ID,
+			"coordinator": n.cfg.Coordinator,
 		})
 	})
-	mountCacheEndpoints(mux, n.cache)
 	return mux
 }
 
@@ -114,7 +96,6 @@ func (n *WorkerNode) Run(ctx context.Context) error {
 		Coordinator: n.cfg.Coordinator,
 		Info: cluster.WorkerInfo{
 			ID:             n.cfg.ID,
-			Addr:           n.cfg.AdvertiseAddr,
 			MemBudgetBytes: n.cfg.MemBudgetBytes,
 			Slots:          n.cfg.Slots,
 		},

@@ -86,6 +86,11 @@ type specEntry struct {
 // the whole alias index at aliasFactor * max.
 const aliasFactor = 4
 
+// SpecCacheAliasFactor exports aliasFactor: a caller that rotates through
+// more textual variants of one spec than this misses the alias index on
+// every Compile and pays a parse before the canonical lookup hits.
+const SpecCacheAliasFactor = aliasFactor
+
 // NewSpecCache returns a compiled-spec cache bounded to maxEntries
 // (<= 0 selects 1024, matching the service's result-cache default).
 func NewSpecCache(maxEntries int) *SpecCache {
