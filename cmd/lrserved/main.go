@@ -1,8 +1,9 @@
 // Command lrserved runs the verification service: an HTTP JSON API over a
-// bounded job queue, a fixed pool of verification workers, and a
-// content-addressed result cache (see internal/service). A result enters
-// the cache only as the outcome of a job the service dispatched; no
-// endpoint stores a result by cache key.
+// bounded job queue, a lease coordinator that dispatches each job to one
+// of -workers in-process verification workers, and a content-addressed
+// result cache (see internal/service). A result enters the cache only as
+// the outcome of a job the service dispatched; no endpoint stores a
+// result by cache key.
 //
 // Usage:
 //
@@ -29,9 +30,13 @@
 // enqueued: a crash or kill replays unfinished jobs on the next start,
 // and jobs whose retries are exhausted land in a persistent quarantine.
 //
-// Cluster mode splits the service across processes. The coordinator owns
-// the queue, journal, and lease table; workers join it over HTTP and pull
-// jobs under heartbeat-renewed leases:
+// Every lrserved is a coordinator: it owns the queue, journal, and lease
+// table, and its in-process workers pull jobs under heartbeat-renewed
+// leases. -workers, -mem-budget-bytes (a budget the in-process workers
+// share), -lease-ttl and -heartbeat-interval tune them the same way on a
+// single node and in cluster mode. -coordinator only decides whether
+// worker processes may join over HTTP and pull jobs beside them; without
+// it the worker protocol (/cluster/v1/*) answers 404:
 //
 //	lrserved -coordinator -cache-dir /var/cache/lrserved          # coordinator
 //	lrserved -join http://coordinator:8420 -addr :8421            # worker node
@@ -41,10 +46,10 @@
 // -cache-dir apply to the coordinator and the single node only. Its
 // listener serves /healthz and nothing else.
 //
-// A worker that dies, hangs, or partitions mid-job loses its lease after
-// -lease-ttl without a heartbeat and the job re-dispatches with backoff;
-// -heartbeat-interval must stay below -lease-ttl. See ARCHITECTURE.md for
-// the lease state machine and failure domains.
+// A -join worker that dies, hangs, or partitions mid-job loses its lease
+// after -lease-ttl without a heartbeat and the job re-dispatches with
+// backoff; -heartbeat-interval must stay below -lease-ttl. See
+// ARCHITECTURE.md for the lease state machine and failure domains.
 //
 // With -pprof-addr set, a second listener serves the profiling surface
 // (net/http/pprof plus a runtime/trace capture endpoint) separately from
@@ -70,7 +75,6 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -200,7 +204,7 @@ func main() {
 	defer cli.ExitOnPanic("lrserved")
 	addr := flag.String("addr", ":8420", "listen address")
 	queue := flag.Int("queue", 256, "job queue bound")
-	workers := flag.Int("workers", 0, "verification workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "in-process verification workers (0 = GOMAXPROCS); with -join, the tasks this worker runs at once (0 = 1)")
 	engineWorkers := flag.Int("engine-workers", 1, "explicit-engine workers per job")
 	jobTimeout := flag.Duration("job-timeout", 60*time.Second, "default per-job deadline")
 	maxTimeout := flag.Duration("max-job-timeout", 10*time.Minute, "clamp for client-supplied deadlines")
@@ -209,14 +213,14 @@ func main() {
 	drain := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget before in-flight jobs are canceled")
 	maxAttempts := flag.Int("max-attempts", 3, "execution attempts per job before poison quarantine")
 	retryBase := flag.Duration("retry-base-delay", 100*time.Millisecond, "first retry backoff (doubles per attempt, jittered, capped at 30s)")
-	memBudget := flag.Uint64("mem-budget-bytes", 0, "server-wide explicit-engine table budget; jobs estimated over it are rejected or degraded (0 = unlimited)")
+	memBudget := flag.Uint64("mem-budget-bytes", 0, "explicit-engine table budget the in-process workers share; jobs estimated over it are rejected or degraded (0 = unlimited); with -join, the budget this worker advertises")
 	degrade := flag.Bool("degrade-over-budget", false, "run over-budget jobs degraded (1 engine worker, budget-clamped state limit) instead of rejecting them")
 	specCacheSize := flag.Int("spec-cache-size", 1024, "compiled-spec cache entries (parse/compile memoization keyed by the canonical spec rendering)")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for the pprof/trace profiling endpoints (empty = profiling off); bind to localhost in production")
-	coordinator := flag.Bool("coordinator", false, "run as a cluster coordinator: jobs dispatch to lease-holding workers (local pool + remote joiners) instead of the in-process pool")
+	coordinator := flag.Bool("coordinator", false, "let -join worker processes join and pull jobs beside the in-process workers (mounts /cluster/v1/*)")
 	join := flag.String("join", "", "coordinator base URL to join as a worker node (mutually exclusive with -coordinator)")
-	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "cluster lease lifetime without a heartbeat; expiry re-dispatches the job")
-	heartbeatInterval := flag.Duration("heartbeat-interval", 2500*time.Millisecond, "cluster lease renewal cadence; must be below -lease-ttl")
+	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "lease lifetime without a heartbeat, for in-process and joined workers; expiry re-dispatches the job")
+	heartbeatInterval := flag.Duration("heartbeat-interval", 2500*time.Millisecond, "lease renewal cadence; must be below -lease-ttl")
 	workerID := flag.String("worker-id", "", "cluster worker id (worker mode; default the hostname)")
 	flag.Parse()
 
@@ -241,16 +245,7 @@ func main() {
 
 	var clusterCfg *service.ClusterConfig
 	if *coordinator {
-		localWorkers := *workers
-		if localWorkers <= 0 {
-			localWorkers = runtime.GOMAXPROCS(0)
-		}
-		clusterCfg = &service.ClusterConfig{
-			LeaseTTL:             *leaseTTL,
-			HeartbeatInterval:    *heartbeatInterval,
-			LocalWorkers:         localWorkers,
-			WorkerMemBudgetBytes: *memBudget,
-		}
+		clusterCfg = &service.ClusterConfig{}
 	}
 
 	svc, err := service.New(service.Config{
@@ -266,6 +261,8 @@ func main() {
 		RetryBaseDelay:    *retryBase,
 		MemoryBudgetBytes: *memBudget,
 		DegradeOverBudget: *degrade,
+		LeaseTTL:          *leaseTTL,
+		HeartbeatInterval: *heartbeatInterval,
 		Cluster:           clusterCfg,
 	})
 	if err != nil {
@@ -303,12 +300,12 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
+	remote := "off"
 	if *coordinator {
-		fmt.Printf("lrserved: coordinator listening on %s (queue %d, %d local workers, lease TTL %v)\n",
-			*addr, *queue, clusterCfg.LocalWorkers, *leaseTTL)
-	} else {
-		fmt.Printf("lrserved: listening on %s (queue %d, %d workers)\n", *addr, *queue, *workers)
+		remote = "may join"
 	}
+	fmt.Printf("lrserved: listening on %s (queue %d, %d workers, lease TTL %v, remote workers %s)\n",
+		*addr, *queue, svc.Stats().Workers, *leaseTTL, remote)
 
 	select {
 	case err := <-errc:

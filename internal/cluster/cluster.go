@@ -1,9 +1,9 @@
 // Package cluster is the coordinator/worker distribution layer of the
-// verification service: one coordinator owns the job queue and journal
-// (internal/service), and a fleet of workers — remote lrserved processes
-// registered through a join endpoint, or in-process workers behind the
-// same interface — pull verification tasks under time-bounded leases with
-// heartbeat renewal.
+// verification service: every lrserved owns one coordinator, which holds
+// the job queue and journal (internal/service), and workers — in-process
+// LocalWorkers, plus remote lrserved processes registered through a join
+// endpoint when the service admits them — pull verification tasks under
+// time-bounded leases with heartbeat renewal.
 //
 // The design extends the paper's compositional thesis to the deployment
 // layer: just as a global verdict is assembled from independently checked
@@ -22,13 +22,14 @@
 //     dropped. Dropping is safe because results are content-addressed:
 //     the re-dispatched attempt recomputes the identical verdict.
 //   - Cost-based placement. Tasks are placed by the explicit engine's
-//     pre-run table estimate against each worker's advertised memory
-//     budget; when no worker fits, the documented fallback is the
-//     coordinator's degrade-over-budget mode (one engine worker, a
+//     pre-run table estimate: in-process workers share one budget that
+//     each grant reserves from, remote workers are matched against their
+//     own advertised budgets; when no worker fits, the documented fallback
+//     is the coordinator's degrade-over-budget mode (one engine worker, a
 //     budget-clamped MaxStates).
 //   - Transport neutrality. The engine is behind the Runner interface;
-//     the service's local execution path and the remote HTTP worker are
-//     interchangeable, and verdicts are byte-identical either way.
+//     in-process and remote HTTP workers are interchangeable, and
+//     verdicts are byte-identical either way.
 //
 // The package deliberately does not import internal/service: the service
 // owns jobs, journal, retries and the result cache, and drives the
@@ -123,10 +124,12 @@ func (t Task) Deadline() time.Time {
 // Nil fields are skipped. Callbacks run outside the coordinator's mutex
 // and must not call back into the coordinator synchronously.
 type Events struct {
-	// LeaseGranted fires on every grant and renewal (renewal=true); the
-	// service journals the lease record here, fsynced before the worker
-	// can act on it.
-	LeaseGranted func(jobID, workerID string, expiry time.Time, renewal bool)
+	// LeaseGranted fires on every grant and renewal (renewal=true), before
+	// the worker can act on it; remote reports whether the holder is a
+	// joined worker rather than an in-process one. The service journals
+	// remote holders' lease records here, fsynced, and marks a granted
+	// job running. A grant's event returns before its DoneFunc can fire.
+	LeaseGranted func(jobID, workerID string, expiry time.Time, renewal, remote bool)
 	// LeaseExpired fires when a lease dies unrenewed — the failover signal
 	// behind lrserved_cluster_lease_expired_total.
 	LeaseExpired func(jobID, workerID string)
@@ -147,6 +150,14 @@ type Config struct {
 	// HeartbeatInterval is the renewal cadence workers are told to use
 	// (default LeaseTTL/4).
 	HeartbeatInterval time.Duration
+	// LocalMemBudgetBytes is the explicit-table budget the in-process
+	// workers share (0 = unlimited). A grant to an in-process worker
+	// reserves the task's estimate, clamped to the whole budget so that an
+	// over-budget task runs alone; completion, lease expiry and Stop
+	// release it. While a reservation does not fit, no in-process worker
+	// is eligible and Dispatch waits. Remote workers are placed against
+	// their own advertised budgets instead.
+	LocalMemBudgetBytes uint64
 	// DegradeOverBudget places tasks that fit no worker's budget on the
 	// largest-budget worker with the degraded clamps instead of failing
 	// the dispatch with ErrNoWorker.

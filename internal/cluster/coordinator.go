@@ -32,6 +32,9 @@ type Coordinator struct {
 	started bool // Start launched the scanner; Stop only joins it then
 	// lastToken issues lease fencing tokens; see lease.token.
 	lastToken uint64
+	// localInUse is the part of Config.LocalMemBudgetBytes that grants to
+	// in-process workers reserve.
+	localInUse uint64
 
 	scanStop chan struct{}
 	scanDone chan struct{}
@@ -54,6 +57,8 @@ type member struct {
 type lease struct {
 	task   Task
 	worker string
+	// remote marks a joined holder: its grant and renewals are journaled.
+	remote bool
 	// token fences this grant against every other grant of the same job:
 	// Heartbeat and Complete must present it. Without the token a late
 	// result is indistinguishable from the current attempt whenever the
@@ -69,9 +74,11 @@ type lease struct {
 	// exactly what the lease expiry is for.
 	ctx    context.Context
 	cancel context.CancelFunc
-	// counted records that placement reserved a slot (held++) for this
-	// lease; recovered leases from a journal replay never did.
-	counted bool
+	// holder is the member placement charged a slot (held++) for; nil for
+	// leases recovered from the journal, which were never placed here.
+	holder *member
+	// reserved is the share of Config.LocalMemBudgetBytes the grant holds.
+	reserved uint64
 	// recovered marks a lease reconstructed from the journal after a
 	// coordinator restart: its worker may re-join and complete it, or the
 	// expiry re-dispatches the job — exactly once either way.
@@ -152,21 +159,14 @@ func (c *Coordinator) expireDue(now time.Time) {
 			continue
 		}
 		delete(c.leases, job)
+		c.releaseLocked(l)
 		e := expired{l: l}
-		if m, ok := c.workers[l.worker]; ok {
-			if l.counted {
-				m.held--
-			}
-			if m.remote {
-				delete(c.workers, l.worker)
-				info := m.info
-				e.lost = &info
-			}
+		if m, ok := c.workers[l.worker]; ok && m.remote {
+			delete(c.workers, l.worker)
+			info := m.info
+			e.lost = &info
 		}
 		due = append(due, e)
-	}
-	if len(due) > 0 {
-		c.cond.Broadcast()
 	}
 	c.mu.Unlock()
 
@@ -275,14 +275,43 @@ func (c *Coordinator) liveSortedLocked() []*member {
 	return out
 }
 
-// placeLocked picks the dispatch target for t: among workers whose budget
-// fits the estimate and with a free slot, the least-loaded (ties by id).
-// When none fits by budget and degradation is on, the largest-budget
-// free-slot worker takes the task degraded.
+// reservation is what a grant of estimate to an in-process worker
+// reserves: the estimate clamped to the shared budget (0 without one).
+func (c *Coordinator) reservation(estimate uint64) uint64 {
+	return min(estimate, c.cfg.LocalMemBudgetBytes)
+}
+
+// freeLocked reports whether m can take a task of the given estimate now:
+// it has a free slot and, for an in-process worker, the task's
+// reservation fits what other in-process grants left of the shared
+// budget.
+func (c *Coordinator) freeLocked(m *member, estimate uint64) bool {
+	if m.held >= m.info.slots() {
+		return false
+	}
+	budget := c.cfg.LocalMemBudgetBytes
+	return m.remote || budget == 0 || c.localInUse+c.reservation(estimate) <= budget
+}
+
+// releaseLocked returns a lease's slot and budget reservation, and wakes
+// the dispatches waiting for either. The lease is already out of the
+// table.
+func (c *Coordinator) releaseLocked(l *lease) {
+	if l.holder != nil {
+		l.holder.held--
+	}
+	c.localInUse -= l.reserved
+	c.cond.Broadcast()
+}
+
+// placeLocked picks the dispatch target for t: among free workers whose
+// budget fits the estimate, the least-loaded (ties by id). When none fits
+// by budget and degradation is on, the largest-budget free worker takes
+// the task degraded.
 func (c *Coordinator) placeLocked(t Task) (target *member, degraded bool) {
 	var best *member
 	for _, m := range c.liveSortedLocked() {
-		if m.held >= m.info.slots() || !m.info.fits(t.Estimate) {
+		if !c.freeLocked(m, t.Estimate) || !m.info.fits(t.Estimate) {
 			continue
 		}
 		if best == nil || m.held < best.held {
@@ -296,7 +325,7 @@ func (c *Coordinator) placeLocked(t Task) (target *member, degraded bool) {
 		return nil, false
 	}
 	for _, m := range c.liveSortedLocked() {
-		if m.held >= m.info.slots() || m.info.fits(t.Estimate) {
+		if !c.freeLocked(m, t.Estimate) || m.info.fits(t.Estimate) {
 			// Fitting-but-busy workers were handled above; taking one here
 			// degraded would clamp a task that a free slot could run whole.
 			continue
@@ -322,71 +351,87 @@ func (c *Coordinator) couldEverFitLocked(estimate uint64) (fits, anyWorker bool)
 
 // Dispatch places t on a worker under a fresh lease and returns once the
 // grant is journaled (Events.LeaseGranted) and the task is visible to the
-// worker. done fires exactly once with the attempt's outcome. Dispatch
-// blocks while every eligible worker is busy — or while no worker has
-// joined yet — and fails fast with ErrNoWorker when workers exist but
-// none could ever fit the estimate (unless DegradeOverBudget).
+// worker. done fires exactly once with the attempt's outcome; an error
+// return means nothing was granted and done never fires. Dispatch blocks
+// while every eligible worker is busy or out of budget — or while no
+// worker has joined yet — gives up with ctx's error once ctx is done, and
+// fails fast with ErrNoWorker when workers exist but none could ever fit
+// the estimate (unless DegradeOverBudget).
 func (c *Coordinator) Dispatch(ctx context.Context, t Task, done DoneFunc) error {
+	c.mu.Lock()
+	var target *member
 	for {
-		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
 			return ErrStopped
 		}
-		target, degraded := c.placeLocked(t)
-		if target == nil {
-			fits, anyWorker := c.couldEverFitLocked(t.Estimate)
-			if anyWorker && !fits && !c.cfg.DegradeOverBudget {
-				c.mu.Unlock()
-				return fmt.Errorf("%w: estimate %d bytes exceeds every worker budget", ErrNoWorker, t.Estimate)
-			}
-			if err := c.waitLocked(ctx); err != nil {
-				c.mu.Unlock()
-				return err
-			}
+		if err := ctx.Err(); err != nil {
 			c.mu.Unlock()
-			continue
+			return err
 		}
-		if degraded {
-			t.DegradeBudget = target.info.MemBudgetBytes
+		var degraded bool
+		if target, degraded = c.placeLocked(t); target != nil {
+			if degraded {
+				t.DegradeBudget = target.info.MemBudgetBytes
+			}
+			break
 		}
-		lctx, cancel := context.WithDeadline(ctx, t.Deadline())
-		c.lastToken++
-		l := &lease{
-			task: t, worker: target.info.ID, token: c.lastToken,
-			expiry: time.Now().Add(c.cfg.LeaseTTL),
-			done:   done, ctx: lctx, cancel: cancel, counted: true,
+		fits, anyWorker := c.couldEverFitLocked(t.Estimate)
+		if anyWorker && !fits && !c.cfg.DegradeOverBudget {
+			c.mu.Unlock()
+			return fmt.Errorf("%w: estimate %d bytes exceeds every worker budget", ErrNoWorker, t.Estimate)
 		}
-		c.leases[t.JobID] = l
-		target.held++
-		c.mu.Unlock()
+		c.waitLocked(ctx)
+	}
+	lctx, cancel := context.WithDeadline(ctx, t.Deadline())
+	c.lastToken++
+	l := &lease{
+		task: t, worker: target.info.ID, remote: target.remote, token: c.lastToken,
+		expiry: time.Now().Add(c.cfg.LeaseTTL),
+		done:   done, ctx: lctx, cancel: cancel, holder: target,
+	}
+	if !target.remote {
+		l.reserved = c.reservation(t.Estimate)
+		c.localInUse += l.reserved
+	}
+	target.held++
+	c.mu.Unlock()
 
-		// Journal-before-visibility: the lease record is durably on disk
-		// (the service fsyncs in this callback) before any worker can pull
-		// the task, so a coordinator crash never has a running task the
-		// journal knows nothing about.
-		if ev := c.cfg.Events.LeaseGranted; ev != nil {
-			ev(t.JobID, l.worker, l.expiry, false)
-		}
+	// Journal-before-visibility: the grant event runs before the lease
+	// enters the table, so the service fsyncs a remote holder's lease
+	// record before any worker can pull the task — a coordinator crash
+	// never has a running task the journal knows nothing about — and
+	// nothing can complete, expire or stop the lease until it returns.
+	if ev := c.cfg.Events.LeaseGranted; ev != nil {
+		ev(t.JobID, l.worker, l.expiry, false, l.remote)
+	}
 
-		c.mu.Lock()
-		if c.leases[t.JobID] == l { // not expired/stopped during the journal write
-			target.queue = append(target.queue, l)
-			c.cond.Broadcast()
-		}
+	c.mu.Lock()
+	if c.closed {
+		// Stop ran during the grant event and could not see this lease:
+		// fail it as Stop would have.
+		c.releaseLocked(l)
 		c.mu.Unlock()
+		cancel()
+		done(nil, l.worker, context.Canceled)
 		return nil
 	}
+	c.leases[t.JobID] = l
+	target.queue = append(target.queue, l)
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	return nil
 }
 
 // Recover reinstalls a lease reconstructed from the journal after a
 // coordinator restart: if the worker re-joins and completes before expiry
 // the result is accepted; otherwise the expiry scanner fires done with
 // ErrLeaseExpired and the job re-dispatches — exactly once either way.
+// Only remote holders' leases are journaled, so the lease is remote.
 func (c *Coordinator) Recover(t Task, workerID string, expiry time.Time, done DoneFunc) {
 	lctx, cancel := context.WithDeadline(context.Background(), t.Deadline())
 	l := &lease{
-		task: t, worker: workerID, expiry: expiry,
+		task: t, worker: workerID, remote: true, expiry: expiry,
 		done: done, ctx: lctx, cancel: cancel, recovered: true,
 	}
 	c.mu.Lock()
@@ -469,7 +514,7 @@ func (c *Coordinator) Heartbeat(workerID, jobID string, token uint64) error {
 	expiry := l.expiry
 	c.mu.Unlock()
 	if ev := c.cfg.Events.LeaseGranted; ev != nil {
-		ev(jobID, workerID, expiry, true)
+		ev(jobID, workerID, expiry, true, l.remote)
 	}
 	return nil
 }
@@ -497,13 +542,10 @@ func (c *Coordinator) Complete(workerID, jobID string, token uint64, res *verify
 		return false
 	}
 	delete(c.leases, jobID)
+	c.releaseLocked(l)
 	if m, ok := c.workers[workerID]; ok {
 		m.lastSeen = time.Now()
-		if l.counted {
-			m.held--
-		}
 	}
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	if l.cancel != nil {
 		l.cancel()
@@ -517,6 +559,14 @@ func (c *Coordinator) Outstanding() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.leases)
+}
+
+// LocalMemInUse returns the bytes of Config.LocalMemBudgetBytes that
+// outstanding grants to in-process workers reserve.
+func (c *Coordinator) LocalMemInUse() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.localInUse
 }
 
 // Quiesce blocks until every outstanding lease has resolved or ctx is
@@ -534,9 +584,9 @@ func (c *Coordinator) Quiesce(ctx context.Context) error {
 
 // Stop shuts the coordinator down: the scanner exits, every worker
 // blocked in Next is released with ErrStopped, and any lease still
-// outstanding fires its done with context.Canceled — the service journals
-// those jobs as replayable, which is what makes a coordinator restart
-// recover them.
+// outstanding releases its reservation and fires its done with
+// context.Canceled — the service journals those jobs as replayable, which
+// is what makes a coordinator restart recover them.
 func (c *Coordinator) Stop() {
 	c.mu.Lock()
 	if c.closed {
@@ -547,6 +597,7 @@ func (c *Coordinator) Stop() {
 	started := c.started
 	remaining := make([]*lease, 0, len(c.leases))
 	for _, l := range c.leases {
+		c.releaseLocked(l)
 		remaining = append(remaining, l)
 	}
 	c.leases = map[string]*lease{}

@@ -195,6 +195,124 @@ func TestPlacementPrefersFit(t *testing.T) {
 	}
 }
 
+// TestDispatchLocalBudget: in-process workers share
+// Config.LocalMemBudgetBytes, and each grant to one reserves its task's
+// estimate. A dispatch that does not fit blocks until a reservation is
+// released, an over-budget estimate reserves the whole budget (the task
+// runs alone instead of never), a canceled context unblocks a waiter, and
+// completion, expiry and Stop each release. A remote worker is placed
+// against its own budget.
+func TestDispatchLocalBudget(t *testing.T) {
+	c := startCoordinator(t, Config{LeaseTTL: time.Hour, LocalMemBudgetBytes: 100})
+	if err := c.register(WorkerInfo{ID: "w1", Slots: 8}, false); err != nil {
+		t.Fatal(err)
+	}
+	task := func(id string, estimate uint64) Task {
+		tk := testTask(id)
+		tk.Estimate = estimate
+		return tk
+	}
+	ch := make(chan doneRec, 8)
+	mustDispatch := func(tk Task) {
+		t.Helper()
+		if err := c.Dispatch(context.Background(), tk, collectDone(ch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	complete := func(jobID string) {
+		t.Helper()
+		tk, token, _, err := c.Next(context.Background(), "w1")
+		if err != nil || tk.JobID != jobID {
+			t.Fatalf("next = %s, %v; want %s", tk.JobID, err, jobID)
+		}
+		if !c.Complete("w1", jobID, token, &verify.Result{}, nil) {
+			t.Fatalf("completion of %s rejected", jobID)
+		}
+		<-ch
+	}
+	inUse := func(want uint64) {
+		t.Helper()
+		if got := c.LocalMemInUse(); got != want {
+			t.Fatalf("local mem in use = %d, want %d", got, want)
+		}
+	}
+	// blocked dispatches tk in the background and proves it waits.
+	blocked := func(tk Task) chan error {
+		t.Helper()
+		res := make(chan error, 1)
+		go func() { res <- c.Dispatch(context.Background(), tk, collectDone(ch)) }()
+		select {
+		case err := <-res:
+			t.Fatalf("dispatch of %s returned %v while the budget was full", tk.JobID, err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		return res
+	}
+
+	// A second 60 of 100 waits for the first one's completion.
+	mustDispatch(task("j1", 60))
+	inUse(60)
+	second := blocked(task("j2", 60))
+	complete("j1")
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	inUse(60)
+
+	// A waiter gives up when its context dies.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := c.Dispatch(ctx, task("j3", 60), collectDone(ch)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("ctx-bound dispatch error = %v, want DeadlineExceeded", err)
+	}
+	complete("j2")
+	inUse(0)
+
+	// An over-budget estimate reserves the whole budget: it runs alone.
+	mustDispatch(task("big", 1000))
+	inUse(100)
+	small := blocked(task("small", 1))
+
+	// A remote worker is not charged to the in-process budget.
+	if err := c.Join(WorkerInfo{ID: "r1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-small; err != nil {
+		t.Fatal(err)
+	}
+	inUse(100)
+
+	// Expiry releases: the big lease (and the remote one) die unrenewed.
+	c.expireDue(time.Now().Add(2 * time.Hour))
+	for i := 0; i < 2; i++ {
+		if rec := <-ch; !errors.Is(rec.err, ErrLeaseExpired) {
+			t.Fatalf("done err = %v, want ErrLeaseExpired", rec.err)
+		}
+	}
+	inUse(0)
+
+	// Stop releases what is still reserved.
+	mustDispatch(task("j4", 30))
+	inUse(30)
+	c.Stop()
+	if rec := <-ch; !errors.Is(rec.err, context.Canceled) {
+		t.Fatalf("done err = %v, want context.Canceled", rec.err)
+	}
+	inUse(0)
+
+	// Without a budget nothing is reserved.
+	free := startCoordinator(t, Config{LeaseTTL: time.Hour})
+	if err := free.register(WorkerInfo{ID: "w1"}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := free.Dispatch(context.Background(), task("huge", 1<<40), collectDone(ch)); err != nil {
+		t.Fatal(err)
+	}
+	if got := free.LocalMemInUse(); got != 0 {
+		t.Fatalf("unbudgeted local mem in use = %d, want 0", got)
+	}
+}
+
 // TestLeaseExpiryFiresDone: a worker that blackholes heartbeats and hangs
 // loses its lease; done fires with ErrLeaseExpired, the hung run's
 // context is canceled, and its eventual completion is a dropped late
@@ -458,5 +576,38 @@ func TestRemoteWorkerRoundTrip(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("remote completion never arrived")
+	}
+}
+
+// TestRemotePollRefusalRunsNothing: a poll the coordinator refuses — a
+// stopped coordinator answers 503, a node that admits no workers 404 —
+// carries no assignment, so the worker backs off instead of running an
+// empty task.
+func TestRemotePollRefusalRunsNothing(t *testing.T) {
+	for _, status := range []int{http.StatusServiceUnavailable, http.StatusNotFound} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /cluster/v1/join", func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte(`{"lease_ttl_ms": 1000, "heartbeat_ms": 100}`))
+		})
+		mux.HandleFunc("POST /cluster/v1/poll", func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(status)
+		})
+		mux.HandleFunc("POST /cluster/v1/", func(w http.ResponseWriter, r *http.Request) {})
+		srv := newTestServer(t, mux)
+		var before atomic.Int64
+		runner := &stubRunner{}
+		rw := &Remote{
+			Coordinator: srv.URL,
+			Info:        WorkerInfo{ID: "rw1"},
+			Runner:      runner,
+			Before:      func(Task) error { before.Add(1); return nil },
+			PollWait:    10 * time.Millisecond,
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		rw.Run(ctx)
+		cancel()
+		if n, m := before.Load(), runner.calls.Load(); n != 0 || m != 0 {
+			t.Errorf("poll answered %d: ran %d before hooks and %d tasks, want none", status, n, m)
+		}
 	}
 }

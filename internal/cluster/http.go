@@ -296,13 +296,18 @@ func (rw *Remote) serve(ctx context.Context) error {
 				return err
 			}
 			continue
-		case err != nil:
+		case status == http.StatusNoContent:
+			continue
+		case err == nil && status != http.StatusOK:
+			// A stopped coordinator (503), or a node that admits no
+			// workers (404): there is no assignment to run.
+			err = fmt.Errorf("HTTP %d", status)
+		}
+		if err != nil {
 			rw.logf("poll: %v (retrying)", err)
 			if !sleepCtx(ctx, time.Second) {
 				return ctx.Err()
 			}
-			continue
-		case status == http.StatusNoContent:
 			continue
 		}
 		rw.execute(ctx, a)

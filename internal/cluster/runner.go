@@ -8,10 +8,10 @@ import (
 )
 
 // Runner executes one verification attempt and returns the projected
-// Result. It is the transport-neutral engine seam: the service's local
-// pool, in-process cluster workers, and remote lrserved worker processes
-// all run tasks through a Runner, so a verdict never depends on where it
-// was computed. ctx is canceled on lease expiry, deadline, or shutdown.
+// Result. It is the transport-neutral engine seam: the service's
+// in-process workers and remote lrserved worker processes both run tasks
+// through a Runner, so a verdict never depends on where it was computed.
+// ctx is canceled on lease expiry, deadline, or shutdown.
 type Runner interface {
 	Run(ctx context.Context, t Task) (*verify.Result, error)
 }

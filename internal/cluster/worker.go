@@ -12,11 +12,10 @@ import (
 )
 
 // RunTask executes one attempt of t through r. It is the attempt's only
-// recover boundary — the service's local pool, LocalWorker, and Remote all
-// run through it — so a panic in the before hook or the engine becomes an
-// ErrWorkerPanic-wrapped error carrying the panic value and stack instead
-// of killing the caller, and the retry accounting sees it like any other
-// transient failure.
+// recover boundary — LocalWorker and Remote both run through it — so a
+// panic in the before hook or the engine becomes an ErrWorkerPanic-wrapped
+// error carrying the panic value and stack instead of killing the caller,
+// and the retry accounting sees it like any other transient failure.
 func RunTask(ctx context.Context, r Runner, t Task, before func(Task) error) (res *verify.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -34,16 +33,14 @@ func RunTask(ctx context.Context, r Runner, t Task, before func(Task) error) (re
 
 // LocalWorker is an in-process cluster worker: the same pull / heartbeat
 // / complete protocol as a remote lrserved worker, minus the HTTP hop.
-// The chaos suite runs 3-worker clusters out of these; the service's
-// default cluster mode runs its engine workers as LocalWorkers sharing
-// one LocalRunner.
+// Every lrserved runs its engine workers as LocalWorkers sharing one
+// LocalRunner, each a registered one-slot member of its coordinator.
 type LocalWorker struct {
 	Coord  *Coordinator
 	Info   WorkerInfo
 	Runner Runner
 	// Before runs before each task inside the recover boundary — the
-	// service wires its BeforeVerify fault hook here so single-node and
-	// cluster chaos share injection sites.
+	// service wires its BeforeVerify fault hook here.
 	Before func(t Task) error
 	// HeartbeatFilter, when set, gates each renewal: returning false
 	// swallows the heartbeat (the blackhole fault plan). The worker keeps
@@ -51,6 +48,7 @@ type LocalWorker struct {
 	HeartbeatFilter func(workerID, jobID string) bool
 
 	interval time.Duration
+	stop     context.CancelFunc
 	wg       sync.WaitGroup
 }
 
@@ -60,23 +58,34 @@ func (w *LocalWorker) Start() error {
 		return err
 	}
 	w.interval = w.Coord.cfg.HeartbeatInterval
+	ctx, cancel := context.WithCancel(context.Background())
+	w.stop = cancel
 	for i := 0; i < w.Info.slots(); i++ {
 		w.wg.Add(1)
-		go w.loop()
+		go w.loop(ctx)
 	}
 	return nil
 }
 
 // Wait blocks until every pull loop has exited (they exit when the
-// coordinator stops).
+// coordinator stops, or on Stop).
 func (w *LocalWorker) Wait() {
 	w.wg.Wait()
 }
 
-func (w *LocalWorker) loop() {
+// Stop ends the pull loops, each once it has reported its attempt in
+// flight through Complete, and waits for them. A task granted to the
+// worker but not yet pulled stays with the coordinator, whose Stop fails
+// it.
+func (w *LocalWorker) Stop() {
+	w.stop()
+	w.wg.Wait()
+}
+
+func (w *LocalWorker) loop(stopped context.Context) {
 	defer w.wg.Done()
-	for {
-		t, token, ctx, err := w.Coord.Next(context.Background(), w.Info.ID)
+	for stopped.Err() == nil {
+		t, token, ctx, err := w.Coord.Next(stopped, w.Info.ID)
 		if err != nil {
 			if errors.Is(err, ErrUnknownWorker) {
 				// Dropped from the registry (a lease expired on us); local
@@ -86,7 +95,7 @@ func (w *LocalWorker) loop() {
 				}
 				continue
 			}
-			return // ErrStopped
+			return // ErrStopped, or Stop
 		}
 		stop := w.heartbeats(t.JobID, token)
 		res, rerr := RunTask(ctx, w.Runner, t, w.Before)

@@ -24,7 +24,7 @@ var (
 )
 
 // BatchRequest is a corpus-style submission: many specs, one option set.
-// Every spec becomes an ordinary job — same admission, cache, journal and
+// Every spec becomes an ordinary job — same placement, cache, journal and
 // quarantine behavior as a single POST /v1/verify — and same-family specs
 // share the service's per-family skeleton/memo state, which is what makes
 // a batch of sweep siblings cheaper than the sum of its parts.

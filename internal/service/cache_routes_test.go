@@ -61,8 +61,9 @@ func TestCacheRoutesGone(t *testing.T) {
 		}},
 		{"coordinator", func(t *testing.T, cacheDir string) (http.Handler, *Service) {
 			svc := newTestService(t, Config{
-				CacheDir: cacheDir,
-				Cluster:  &ClusterConfig{LeaseTTL: 5 * time.Second, HeartbeatInterval: 100 * time.Millisecond, LocalWorkers: 1},
+				Workers: 1, CacheDir: cacheDir,
+				LeaseTTL: 5 * time.Second, HeartbeatInterval: 100 * time.Millisecond,
+				Cluster: &ClusterConfig{},
 			}, true)
 			return svc.Handler(), svc
 		}},
@@ -70,8 +71,9 @@ func TestCacheRoutesGone(t *testing.T) {
 			// The coordinator has no in-process workers, so the Submit
 			// below runs on this node.
 			coord := newTestService(t, Config{
-				CacheDir: cacheDir,
-				Cluster:  &ClusterConfig{LeaseTTL: 5 * time.Second, HeartbeatInterval: 100 * time.Millisecond},
+				Workers: -1, CacheDir: cacheDir,
+				LeaseTTL: 5 * time.Second, HeartbeatInterval: 100 * time.Millisecond,
+				Cluster: &ClusterConfig{},
 			}, true)
 			srv := httptest.NewServer(coord.Handler())
 			t.Cleanup(srv.Close)

@@ -9,29 +9,17 @@ import (
 	"paramring/internal/cluster"
 )
 
-// ClusterConfig turns the service into a cluster coordinator: instead of
-// running jobs on a local worker pool, the dispatcher places each job on
-// a lease-holding worker — in-process LocalWorkers configured here,
-// remote lrserved processes joined over HTTP, or both. The journal gains
-// lease records so a coordinator restart knows which jobs were running
-// where. The result cache stays the coordinator's own: workers return
-// verdicts and cache nothing.
+// ClusterConfig admits remote workers. Every service is a lease
+// coordinator over its Config.Workers in-process workers; with a
+// ClusterConfig, Handler also mounts the worker protocol, so lrserved
+// -join processes can join and pull tasks beside them. Their grants and
+// renewals are journaled, so a coordinator restart knows which jobs were
+// running where. The result cache stays the coordinator's own: workers
+// return verdicts and cache nothing.
 type ClusterConfig struct {
-	// LeaseTTL is how long a lease survives without a heartbeat (default
-	// 10s). Must exceed HeartbeatInterval; cmd/lrserved validates this at
-	// the flag boundary.
-	LeaseTTL time.Duration
-	// HeartbeatInterval is the renewal cadence (default LeaseTTL/4).
-	HeartbeatInterval time.Duration
-	// LocalWorkers is the number of in-process cluster workers to start,
-	// one task at a time each (0 = serve remote joiners only).
-	LocalWorkers int
-	// WorkerMemBudgetBytes is each local worker's advertised placement
-	// budget (0 = unlimited).
-	WorkerMemBudgetBytes uint64
-
 	// Fault-injection seam for the chaos suite (nil in production):
-	// HeartbeatFilter gates local workers' renewals (false = blackholed).
+	// HeartbeatFilter gates in-process workers' renewals (false =
+	// blackholed).
 	HeartbeatFilter func(workerID, jobID string) bool
 	// Observer receives one call per cluster event — the chaos transcript
 	// hook (nil = none). Events: lease-granted, lease-renewed,
@@ -45,14 +33,14 @@ const coordinatorID = "coordinator"
 // initCluster builds the coordinator. Called from New before replay so
 // recovered leases can be reinstalled.
 func (s *Service) initCluster() {
-	cc := s.cfg.Cluster
 	s.coord = cluster.NewCoordinator(cluster.Config{
-		LeaseTTL:          cc.LeaseTTL,
-		HeartbeatInterval: cc.HeartbeatInterval,
-		DegradeOverBudget: s.cfg.DegradeOverBudget,
-		Log:               s.cfg.Log,
+		LeaseTTL:            s.cfg.LeaseTTL,
+		HeartbeatInterval:   s.cfg.HeartbeatInterval,
+		LocalMemBudgetBytes: s.cfg.MemoryBudgetBytes,
+		DegradeOverBudget:   s.cfg.DegradeOverBudget,
+		Log:                 s.cfg.Log,
 		Events: cluster.Events{
-			LeaseGranted: func(jobID, workerID string, expiry time.Time, renewal bool) {
+			LeaseGranted: func(jobID, workerID string, expiry time.Time, renewal, remote bool) {
 				if renewal {
 					s.metrics.ClusterLeaseRenewals.Add(1)
 					s.observeCluster("lease-renewed", jobID, workerID)
@@ -62,10 +50,17 @@ func (s *Service) initCluster() {
 				}
 				// Fsynced before the worker can act on the task (grants) or
 				// before the renewal is acknowledged: the journal never
-				// believes a lease the disk does not.
-				s.journalAppend(journalRecord{
-					Op: opLease, ID: jobID, Worker: workerID, ExpireAtMS: expiry.UnixMilli(),
-				})
+				// believes a lease the disk does not. An in-process worker
+				// dies with this process, so its lease would tell a restart
+				// nothing; the job's submit record replays it.
+				if remote {
+					s.journalAppend(journalRecord{
+						Op: opLease, ID: jobID, Worker: workerID, ExpireAtMS: expiry.UnixMilli(),
+					})
+				}
+				if !renewal {
+					s.startAttempt(jobID)
+				}
 			},
 			LeaseExpired: func(jobID, workerID string) {
 				s.metrics.ClusterLeasesExpired.Add(1)
@@ -93,28 +88,28 @@ func (s *Service) observeCluster(event, jobID, workerID string) {
 	}
 }
 
-// startCluster launches the coordinator, the configured in-process
-// workers, and the single dispatcher goroutine that drains the job queue
-// into lease dispatches.
-func (s *Service) startCluster() {
-	cc := s.cfg.Cluster
+// Start launches the coordinator, the Config.Workers in-process workers,
+// and the single dispatcher goroutine that drains the job queue into
+// lease dispatches.
+func (s *Service) Start() {
 	s.coord.Start()
-	for i := 0; i < cc.LocalWorkers; i++ {
+	var filter func(workerID, jobID string) bool
+	if cc := s.cfg.Cluster; cc != nil {
+		filter = cc.HeartbeatFilter
+	}
+	for i := 0; i < s.cfg.Workers; i++ {
 		w := &cluster.LocalWorker{
-			Coord: s.coord,
-			Info: cluster.WorkerInfo{
-				ID:             fmt.Sprintf("%s-w%d", coordinatorID, i),
-				MemBudgetBytes: cc.WorkerMemBudgetBytes,
-			},
+			Coord:           s.coord,
+			Info:            cluster.WorkerInfo{ID: fmt.Sprintf("%s-w%d", coordinatorID, i)},
 			Runner:          s.runner,
 			Before:          s.beforeVerify,
-			HeartbeatFilter: cc.HeartbeatFilter,
+			HeartbeatFilter: filter,
 		}
 		if err := w.Start(); err != nil {
 			s.cfg.Log.Printf("cluster: local worker %d: %v", i, err)
 			continue
 		}
-		s.clusterWorkers = append(s.clusterWorkers, w)
+		s.workers = append(s.workers, w)
 	}
 	s.wg.Add(1)
 	go func() {
@@ -126,31 +121,32 @@ func (s *Service) startCluster() {
 	}()
 }
 
-// stopCluster shuts the coordinator down (firing any outstanding lease
-// as canceled-replayable) and waits for the local worker loops.
+// stopCluster stops the in-process workers, each once it has reported its
+// attempt in flight, and then the coordinator, which fails the leases
+// that are left (remote ones, and grants no worker pulled) as
+// canceled-replayable. Reporting first keeps an attempt's real outcome —
+// a recovered panic, say — from being overtaken by that cancel.
 func (s *Service) stopCluster() {
-	if s.coord == nil {
-		return
+	for _, w := range s.workers {
+		w.Stop()
 	}
 	s.coord.Stop()
-	for _, w := range s.clusterWorkers {
-		w.Wait()
-	}
 }
 
-// dispatch is the cluster counterpart of run: one attempt, placed on a
-// worker under a lease instead of executed inline. The coordinator fires
-// the done callback exactly once — completion, lease expiry, or shutdown
-// — and the callback routes the outcome through the same finishAttempt
-// classification as local execution, so retries, quarantine, journaling,
-// and caching behave identically in both modes.
+// dispatch places one attempt of j on a worker under a lease. The job
+// stays queued while it waits for a slot or for memory budget, and runs
+// from the grant (startAttempt). The coordinator then fires the done
+// callback exactly once — completion, lease expiry, or shutdown — and the
+// callback routes the outcome through finishAttempt: retries, quarantine,
+// journaling, and caching.
 func (s *Service) dispatch(j *Job) {
-	attempt := s.startAttempt(j)
+	s.mu.Lock()
+	attempt := j.attempts + 1
+	s.mu.Unlock()
 	ctx, cancel := context.WithDeadline(s.runCtx, j.deadline)
 	err := s.coord.Dispatch(ctx, s.taskForJob(j, attempt), s.leaseDone(j, cancel))
 	if err != nil {
 		cancel()
-		s.metrics.JobsRunning.Add(-1)
 		if errors.Is(err, cluster.ErrStopped) {
 			s.finalize(j, StateFailed, "shutting down before dispatch; journaled for replay", true)
 			return
@@ -159,6 +155,17 @@ func (s *Service) dispatch(j *Job) {
 		// context errors flow through the standard classification.
 		s.finishAttempt(j, nil, err)
 	}
+}
+
+// startAttempt marks a job running when its lease is granted.
+func (s *Service) startAttempt(jobID string) {
+	s.mu.Lock()
+	j := s.jobs[jobID] // a job in flight is never evicted
+	j.state = StateRunning
+	j.attempts++
+	j.started = time.Now()
+	s.mu.Unlock()
+	s.metrics.JobsRunning.Add(1)
 }
 
 // leaseDone builds the exactly-once outcome callback for one dispatched
@@ -174,6 +181,13 @@ func (s *Service) leaseDone(j *Job, cancel context.CancelFunc) cluster.DoneFunc 
 			s.metrics.ClusterRedispatches.Add(1)
 			s.observeCluster("redispatch", j.id, workerID)
 			err = fmt.Errorf("%w: %v", ErrTransient, err)
+		} else {
+			// The attempt ran to an outcome its worker reported (or that
+			// shutdown imposed): time it from the grant.
+			s.mu.Lock()
+			started := j.started
+			s.mu.Unlock()
+			s.metrics.ObservePhase("verify", time.Since(started))
 		}
 		s.finishAttempt(j, res, err)
 	}

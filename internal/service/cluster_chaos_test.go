@@ -223,10 +223,8 @@ func TestClusterChaosWorkerKill(t *testing.T) {
 	svc := newTestService(t, Config{
 		QueueSize: 64, CacheDir: t.TempDir(),
 		MaxAttempts: 6, RetryBaseDelay: time.Millisecond, Hooks: hooks,
-		Cluster: &ClusterConfig{
-			LeaseTTL: chaosClusterTTL, HeartbeatInterval: chaosClusterHB,
-			LocalWorkers: 3, HeartbeatFilter: holes.filter, Observer: observer,
-		},
+		Workers: 3, LeaseTTL: chaosClusterTTL, HeartbeatInterval: chaosClusterHB,
+		Cluster: &ClusterConfig{HeartbeatFilter: holes.filter, Observer: observer},
 	}, true)
 
 	jobs := make([]*Job, 0, n)
@@ -307,10 +305,8 @@ func TestClusterChaosHeartbeatBlackhole(t *testing.T) {
 	svc := newTestService(t, Config{
 		QueueSize: 64, CacheDir: t.TempDir(),
 		MaxAttempts: 6, RetryBaseDelay: time.Millisecond, Hooks: hooks,
-		Cluster: &ClusterConfig{
-			LeaseTTL: chaosClusterTTL, HeartbeatInterval: chaosClusterHB,
-			LocalWorkers: 3, HeartbeatFilter: holes.filter, Observer: observer,
-		},
+		Workers: 3, LeaseTTL: chaosClusterTTL, HeartbeatInterval: chaosClusterHB,
+		Cluster: &ClusterConfig{HeartbeatFilter: holes.filter, Observer: observer},
 	}, true)
 
 	jobs := make([]*Job, 0, n)
@@ -369,10 +365,8 @@ func TestClusterChaosCoordinatorRestart(t *testing.T) {
 			time.Sleep(2 * time.Millisecond) // keep the queue busy so the crash lands mid-flight
 			return nil
 		}},
-		Cluster: &ClusterConfig{
-			LeaseTTL: chaosClusterTTL, HeartbeatInterval: chaosClusterHB,
-			LocalWorkers: 3, Observer: tr.record,
-		},
+		Workers: 3, LeaseTTL: chaosClusterTTL, HeartbeatInterval: chaosClusterHB,
+		Cluster: &ClusterConfig{Observer: tr.record},
 	}
 
 	svc1 := newTestService(t, cfg, false)

@@ -41,8 +41,9 @@ func TestClusterRemoteWorkerParity(t *testing.T) {
 	specs := loadSpecs(t)
 	single := newTestService(t, Config{Workers: 2}, true)
 	coord := newTestService(t, Config{
-		QueueSize: 64,
-		Cluster:   &ClusterConfig{LeaseTTL: 5 * time.Second, HeartbeatInterval: 100 * time.Millisecond},
+		QueueSize: 64, Workers: -1,
+		LeaseTTL: 5 * time.Second, HeartbeatInterval: 100 * time.Millisecond,
+		Cluster: &ClusterConfig{},
 	}, true)
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
@@ -83,15 +84,16 @@ func resultBytes(t *testing.T, svc *Service, req Request) []byte {
 }
 
 // TestClusterWorkerPanicKeepsStack: a panic on a cluster worker lands in
-// the quarantined job's error with its value and stack, as it does on the
-// local pool (TestQuarantineAfterMaxAttempts).
+// the quarantined job's error with its value and stack, as it does on a
+// single node (TestQuarantineAfterMaxAttempts).
 func TestClusterWorkerPanicKeepsStack(t *testing.T) {
 	hooks := &Hooks{BeforeVerify: func(id string, attempt int) error {
 		panic(fmt.Sprintf("poison pill on attempt %d", attempt))
 	}}
 	svc := newTestService(t, Config{
-		MaxAttempts: 2, RetryBaseDelay: time.Millisecond, Hooks: hooks,
-		Cluster: &ClusterConfig{LeaseTTL: 5 * time.Second, HeartbeatInterval: 100 * time.Millisecond, LocalWorkers: 1},
+		MaxAttempts: 2, RetryBaseDelay: time.Millisecond, Hooks: hooks, Workers: 1,
+		LeaseTTL: 5 * time.Second, HeartbeatInterval: 100 * time.Millisecond,
+		Cluster: &ClusterConfig{},
 	}, true)
 	j, err := svc.Submit(Request{Spec: tinySpec})
 	if err != nil {
@@ -129,14 +131,33 @@ func postCluster(t *testing.T, url, path string, body any) (int, []byte) {
 	return resp.StatusCode, raw
 }
 
+// TestWorkerProtocolOffSingleNode: every service holds a coordinator, but
+// only coordinator mode mounts the worker protocol. A client that could
+// join a single node could pull its jobs and return forged verdicts into
+// its result cache, so every route answers 404 there.
+func TestWorkerProtocolOffSingleNode(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 1}, true)
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	for _, path := range []string{"join", "poll", "heartbeat", "complete", "leave"} {
+		if status, raw := postCluster(t, srv.URL, "/cluster/v1/"+path, map[string]string{"id": "intruder", "worker_id": "intruder"}); status != http.StatusNotFound {
+			t.Errorf("POST /cluster/v1/%s = %d %s, want 404", path, status, raw)
+		}
+	}
+	if got := len(svc.coord.Workers()); got != 1 {
+		t.Fatalf("registered workers = %d, want the 1 in-process worker", got)
+	}
+}
+
 // TestClusterEmptyCompletionRejected: a completion carrying neither a
 // result nor an error is a malformed request (400). The lease it named
 // stays outstanding until it expires, and the job then re-dispatches to a
 // healthy worker and completes.
 func TestClusterEmptyCompletionRejected(t *testing.T) {
 	svc := newTestService(t, Config{
-		QueueSize: 8, MaxAttempts: 3, RetryBaseDelay: time.Millisecond,
-		Cluster: &ClusterConfig{LeaseTTL: time.Second, HeartbeatInterval: 100 * time.Millisecond},
+		QueueSize: 8, MaxAttempts: 3, RetryBaseDelay: time.Millisecond, Workers: -1,
+		LeaseTTL: time.Second, HeartbeatInterval: 100 * time.Millisecond,
+		Cluster: &ClusterConfig{},
 	}, true)
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()

@@ -2,13 +2,19 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"paramring/internal/cluster"
+	"paramring/internal/corpus"
+	"paramring/internal/verify"
 )
 
 // Crash/restart coverage for the cluster path: coordinator restart
@@ -18,22 +24,56 @@ import (
 // record — byte by byte — can lose a job or wedge replay.
 
 // clusterDirConfig builds the shared restart configuration: same cache
-// dir, 1 local worker, and the given lease timings. hooks apply to this
-// instance only — restarted instances get their own config.
+// dir, 1 in-process worker, and the given lease timings. hooks apply to
+// this instance only — restarted instances get their own config.
 func clusterDirConfig(dir string, ttl, hb time.Duration, hooks *Hooks) Config {
 	return Config{
 		QueueSize: 16, CacheDir: dir,
 		MaxAttempts: 3, RetryBaseDelay: time.Millisecond, Hooks: hooks,
-		Cluster: &ClusterConfig{
-			LeaseTTL: ttl, HeartbeatInterval: hb, LocalWorkers: 1,
-		},
+		Workers: 1, LeaseTTL: ttl, HeartbeatInterval: hb,
+		Cluster: &ClusterConfig{},
+	}
+}
+
+// remoteHolderConfig is clusterDirConfig without in-process workers: its
+// jobs run on the worker startRemoteHolder joins, whose leases — unlike
+// an in-process worker's — are journaled.
+func remoteHolderConfig(dir string, ttl, hb time.Duration) Config {
+	cfg := clusterDirConfig(dir, ttl, hb, nil)
+	cfg.Workers = -1
+	return cfg
+}
+
+// startRemoteHolder joins a cluster.Remote to svc over httptest and
+// returns a function that stops it. before runs ahead of each task it
+// pulls, inside the recover boundary.
+func startRemoteHolder(t *testing.T, svc *Service, before func(cluster.Task) error) (stop func()) {
+	t.Helper()
+	srv := httptest.NewServer(svc.Handler())
+	rw := &cluster.Remote{
+		Coordinator: srv.URL,
+		Info:        cluster.WorkerInfo{ID: "remote-holder"},
+		Runner:      &cluster.LocalRunner{Specs: verify.NewSpecCache(0), Memos: corpus.NewFamilyMemos(0)},
+		Before:      before,
+		PollWait:    50 * time.Millisecond,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	exited := make(chan struct{})
+	go func() {
+		rw.Run(ctx)
+		close(exited)
+	}()
+	return func() {
+		cancel()
+		<-exited
+		srv.Close()
 	}
 }
 
 // crashWithGatedLease starts svc's hook gate dance: the worker is parked
-// inside BeforeVerify (lease outstanding, journaled), crash() is issued
-// concurrently (it blocks on the worker), then the gate opens and the
-// crash completes. Returns once the crash has finished.
+// inside its before hook with its lease outstanding, crash() is issued
+// concurrently (it blocks on an in-process worker), then the gate opens
+// and the crash completes. Returns once the crash has finished.
 func crashWithGatedLease(t *testing.T, svc *Service, gate chan struct{}) {
 	t.Helper()
 	done := make(chan struct{})
@@ -62,13 +102,14 @@ func TestClusterCrashRecoversOutstandingLease(t *testing.T) {
 	var entered sync.Once
 	enteredCh := make(chan struct{})
 	gate := make(chan struct{})
-	hooks := &Hooks{BeforeVerify: func(id string, attempt int) error {
+	before := func(cluster.Task) error {
 		entered.Do(func() { close(enteredCh) })
 		<-gate
 		return nil
-	}}
-	svc1 := newTestService(t, clusterDirConfig(dir, ttl, 100*time.Millisecond, hooks), false)
+	}
+	svc1 := newTestService(t, remoteHolderConfig(dir, ttl, 100*time.Millisecond), false)
 	svc1.Start()
+	defer startRemoteHolder(t, svc1, before)()
 	j1, err := svc1.Submit(Request{Spec: tinySpec})
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +175,71 @@ func TestClusterCrashRecoversOutstandingLease(t *testing.T) {
 	}
 }
 
+// TestInProcessJobRerunsAfterCrash: an in-process worker dies with the
+// process, so its lease is never journaled. A job parked on one when the
+// service crashes replays as an ordinary queued job — no lease to
+// reinstall and wait out — and finishes in one attempt, well inside the
+// lease TTL.
+func TestInProcessJobRerunsAfterCrash(t *testing.T) {
+	dir := t.TempDir()
+	const ttl = 30 * time.Second
+
+	var entered sync.Once
+	enteredCh := make(chan struct{})
+	gate := make(chan struct{})
+	hooks := &Hooks{BeforeVerify: func(id string, attempt int) error {
+		entered.Do(func() { close(enteredCh) })
+		<-gate
+		return nil
+	}}
+	svc1 := newTestService(t, clusterDirConfig(dir, ttl, time.Second, hooks), false)
+	svc1.Start()
+	j1, err := svc1.Submit(Request{Spec: tinySpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-enteredCh:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker never picked up the lease")
+	}
+	crashWithGatedLease(t, svc1, gate)
+
+	raw, err := os.ReadFile(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range bytes.Split(raw, []byte("\n")) {
+		var rec journalRecord
+		if len(line) > 0 && json.Unmarshal(line, &rec) == nil && rec.Op == opLease {
+			t.Fatalf("journal line %d is a lease record for in-process worker %s", i, rec.Worker)
+		}
+	}
+
+	svc2 := newTestService(t, clusterDirConfig(dir, ttl, time.Second, nil), false)
+	j2, ok := svc2.Job(j1.ID())
+	if !ok {
+		t.Fatalf("replayed job %s not found", j1.ID())
+	}
+	if v := svc2.Snapshot(j2); v.State != StateQueued || svc2.coord.Outstanding() != 0 {
+		t.Fatalf("after replay: state %s, outstanding leases %d; want queued, 0", v.State, svc2.coord.Outstanding())
+	}
+	t0 := time.Now()
+	svc2.Start()
+	waitDone(t, j2)
+	if took := time.Since(t0); took > ttl/2 {
+		t.Fatalf("replayed job took %v: it waited for a lease (TTL %v)", took, ttl)
+	}
+	if v := svc2.Snapshot(j2); v.State != StateDone || v.Attempts != 1 {
+		t.Fatalf("replayed job: %+v, want done in exactly 1 attempt", v)
+	}
+	ctx, cancel := contextWithTestTimeout(t)
+	defer cancel()
+	if err := svc2.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestClusterExpiredLeaseRedispatchOnce: when the journaled lease is
 // already past its expiry at boot, replay itself accounts the expiry and
 // performs the single re-dispatch — a plain re-enqueue, one attempt, no
@@ -145,13 +251,14 @@ func TestClusterExpiredLeaseRedispatchOnce(t *testing.T) {
 	var entered sync.Once
 	enteredCh := make(chan struct{})
 	gate := make(chan struct{})
-	hooks := &Hooks{BeforeVerify: func(id string, attempt int) error {
+	before := func(cluster.Task) error {
 		entered.Do(func() { close(enteredCh) })
 		<-gate
 		return nil
-	}}
-	svc1 := newTestService(t, clusterDirConfig(dir, ttl, 50*time.Millisecond, hooks), false)
+	}
+	svc1 := newTestService(t, remoteHolderConfig(dir, ttl, 50*time.Millisecond), false)
 	svc1.Start()
+	defer startRemoteHolder(t, svc1, before)()
 	j1, err := svc1.Submit(Request{Spec: tinySpec})
 	if err != nil {
 		t.Fatal(err)
@@ -358,12 +465,13 @@ func TestTornLeaseRecordNeverLosesJob(t *testing.T) {
 // service replays the job exactly once.
 func TestCrashDuringRenewalsLeavesParseableJournal(t *testing.T) {
 	dir := t.TempDir()
-	hooks := &Hooks{BeforeVerify: func(id string, attempt int) error {
+	before := func(cluster.Task) error {
 		time.Sleep(400 * time.Millisecond) // outlive several heartbeat intervals
 		return nil
-	}}
-	svc1 := newTestService(t, clusterDirConfig(dir, 500*time.Millisecond, 20*time.Millisecond, hooks), false)
+	}
+	svc1 := newTestService(t, remoteHolderConfig(dir, 500*time.Millisecond, 20*time.Millisecond), false)
 	svc1.Start()
+	defer startRemoteHolder(t, svc1, before)()
 	j1, err := svc1.Submit(Request{Spec: tinySpec})
 	if err != nil {
 		t.Fatal(err)

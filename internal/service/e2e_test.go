@@ -320,39 +320,42 @@ func TestE2EAsyncPollAndErrors(t *testing.T) {
 }
 
 // TestE2EMetricsRendering pins the exposition format: HELP/TYPE headers,
-// sorted extra gauges, and the phase histogram.
+// sorted extra gauges, and the phase histogram, on a single node and in
+// coordinator mode.
 func TestE2EMetricsRendering(t *testing.T) {
-	svc := newTestService(t, Config{Workers: 1}, true)
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	for _, cfg := range []Config{{Workers: 1}, {Workers: 1, Cluster: &ClusterConfig{}}} {
+		svc := newTestService(t, cfg, true)
+		ts := httptest.NewServer(svc.Handler())
+		defer ts.Close()
 
-	if _, view := postVerify(t, ts.URL, Request{Spec: tinySpec, Wait: true}); view.State != StateDone {
-		t.Fatalf("warm-up job: %+v", view)
-	}
+		if _, view := postVerify(t, ts.URL, Request{Spec: tinySpec, Wait: true}); view.State != StateDone {
+			t.Fatalf("warm-up job: %+v", view)
+		}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type %q", ct)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	body := buf.String()
-	for _, want := range []string{
-		"# TYPE lrserved_jobs_submitted_total counter",
-		"lrserved_jobs_submitted_total 1",
-		"lrserved_jobs_done_total 1",
-		"# TYPE lrserved_phase_duration_seconds histogram",
-		`lrserved_phase_duration_seconds_bucket{phase="verify",le="+Inf"} 1`,
-		"lrserved_queue_capacity",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q\n---\n%s", want, body)
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Fatalf("content type %q", ct)
+		}
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		body := buf.String()
+		for _, want := range []string{
+			"# TYPE lrserved_jobs_submitted_total counter",
+			"lrserved_jobs_submitted_total 1",
+			"lrserved_jobs_done_total 1",
+			"# TYPE lrserved_phase_duration_seconds histogram",
+			`lrserved_phase_duration_seconds_bucket{phase="verify",le="+Inf"} 1`,
+			"lrserved_queue_capacity",
+		} {
+			if !strings.Contains(body, want) {
+				t.Errorf("coordinator mode %t: /metrics missing %q\n---\n%s", cfg.Cluster != nil, want, body)
+			}
 		}
 	}
 }

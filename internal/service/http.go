@@ -22,8 +22,10 @@ const maxRequestBytes = 1 << 20
 //	GET  /healthz              liveness + occupancy
 //	GET  /metrics              Prometheus text exposition
 //
-// In cluster-coordinator mode the worker protocol (POST /cluster/v1/
-// join|poll|heartbeat|complete|leave) is mounted too.
+// In coordinator mode (Config.Cluster set) the worker protocol (POST
+// /cluster/v1/join|poll|heartbeat|complete|leave) is mounted too. Without
+// it the routes answer 404: a client that could join could return forged
+// verdicts into the result cache.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/verify", s.handleVerify)
@@ -33,7 +35,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs", s.handleJobs)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.coord != nil {
+	if s.cfg.Cluster != nil {
 		cluster.Mount(mux, s.coord)
 	}
 	return mux
@@ -183,10 +185,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"lrserved_jobs_quarantined":   float64(st.Quarantined),
 		"lrserved_mem_budget_bytes":   float64(st.MemBudgetBytes),
 		"lrserved_mem_in_use_bytes":   float64(st.MemInUseBytes),
-	}
-	if s.coord != nil {
-		extras["lrserved_cluster_workers"] = float64(st.ClusterWorkers)
-		extras["lrserved_cluster_leases"] = float64(st.ClusterLeases)
+		"lrserved_cluster_workers":    float64(st.ClusterWorkers),
+		"lrserved_cluster_leases":     float64(st.ClusterLeases),
 	}
 	s.metrics.WriteTo(w, extras)
 }

@@ -32,7 +32,7 @@ type JobState string
 
 const (
 	// StateQueued: accepted, waiting for a verification worker (includes
-	// jobs waiting out a retry backoff or the memory admission gate).
+	// jobs waiting out a retry backoff or waiting for memory budget).
 	StateQueued JobState = "queued"
 	// StateRunning: a worker is executing the pipeline.
 	StateRunning JobState = "running"
@@ -43,7 +43,7 @@ const (
 	// StateQuarantined: every attempt failed transiently (engine panics,
 	// injected faults); the job is parked in the poison quarantine —
 	// visible via GET /v1/jobs?state=quarantined and persisted in the
-	// journal — so one pathological spec cannot livelock the worker pool.
+	// journal — so one pathological spec cannot livelock the workers.
 	StateQuarantined JobState = "quarantined"
 )
 
@@ -72,7 +72,7 @@ type Job struct {
 	// replay can re-anchor the deadline in the new process.
 	timeout time.Duration
 	// estimate is the pre-run explicit-table byte estimate
-	// (verify.EstimatePeakTableBytes) that memory admission reserves.
+	// (verify.EstimatePeakTableBytes) that placement reserves.
 	estimate uint64
 	// compileNS is the DSL front-end cost paid for this submission (0 on a
 	// compiled-spec cache hit); snapshots surface it as JobView.CompileNS.

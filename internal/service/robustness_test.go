@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -244,58 +243,89 @@ func TestDegradedOverBudgetStillCompletes(t *testing.T) {
 	}
 }
 
-// TestAdmissionGate unit-tests the budget semaphore: blocking, clamping,
-// context cancel, release accounting.
-func TestAdmissionGate(t *testing.T) {
-	a := newAdmission(100)
-	got, err := a.acquire(context.Background(), 60)
-	if err != nil || got != 60 {
-		t.Fatalf("first acquire: %d, %v", got, err)
-	}
-	// A second 60 must block; prove it by watching it complete only after
-	// the release.
-	released := make(chan struct{})
-	acquired := make(chan uint64)
-	go func() {
-		n, err := a.acquire(context.Background(), 60)
-		if err != nil {
-			t.Error(err)
-		}
+// TestMemoryBudgetIsServerWide: MemoryBudgetBytes is one budget that the
+// in-process workers share, in coordinator mode as on a single node. With
+// two workers and a budget that fits one job's estimate, two such jobs run
+// one at a time: the second stays queued, with no start time, until the
+// first releases its reservation, and MemInUseBytes reports the running
+// job's estimate, then 0.
+func TestMemoryBudgetIsServerWide(t *testing.T) {
+	entered := make(chan string, 2)
+	release := make(chan struct{})
+	abandon := make(chan struct{})
+	hooks := &Hooks{BeforeVerify: func(id string, attempt int) error {
+		entered <- id
 		select {
-		case <-released:
-		default:
-			t.Error("second acquire returned before release")
+		case <-release:
+		case <-abandon: // the test failed: let the cleanup's Shutdown drain
 		}
-		acquired <- n
-	}()
-	time.Sleep(20 * time.Millisecond)
-	close(released)
-	a.release(60)
-	if n := <-acquired; n != 60 {
-		t.Fatalf("second acquire reserved %d", n)
+		return nil
+	}}
+	const budget = 40 // xval=6 on domain 2: five per-K tables of 8 bytes
+	svc := newTestService(t, Config{
+		Workers: 2, MemoryBudgetBytes: budget, Hooks: hooks,
+		Cluster: &ClusterConfig{},
+	}, true)
+	t.Cleanup(func() { close(abandon) }) // runs before the Shutdown cleanup
+	var jobs []*Job
+	for i := 0; i < 2; i++ {
+		j, err := svc.Submit(Request{Spec: numberedSpec(i), Options: RequestOptions{CrossValidateMaxK: 6}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
 	}
-	a.release(60)
-	if a.used() != 0 {
-		t.Fatalf("used = %d after releases", a.used())
+	est := jobs[0].estimate
+	if est == 0 || est > budget || 2*est <= budget {
+		t.Fatalf("estimate %d bytes: want one job, not two, to fit the %d-byte budget", est, budget)
+	}
+	waitEntered := func() string {
+		t.Helper()
+		select {
+		case id := <-entered:
+			return id
+		case <-time.After(30 * time.Second):
+			t.Fatal("no job started")
+			return ""
+		}
+	}
+	holdsBudget := func(running, waiting *Job) {
+		t.Helper()
+		select {
+		case id := <-entered:
+			t.Fatalf("%s started while %s held the budget", id, running.ID())
+		case <-time.After(100 * time.Millisecond):
+		}
+		if v := svc.Snapshot(waiting); v.State != StateQueued || v.StartedAt != "" {
+			t.Fatalf("job waiting for budget: %+v, want queued and not started", v)
+		}
+		if st := svc.Stats(); st.MemInUseBytes != est || st.Running != 1 {
+			t.Fatalf("stats while %s runs: mem in use %d, running %d; want %d, 1",
+				running.ID(), st.MemInUseBytes, st.Running, est)
+		}
 	}
 
-	// Over-budget requests clamp to the whole budget (degraded jobs
-	// serialize rather than deadlock).
-	if n, err := a.acquire(context.Background(), 1000); err != nil || n != 100 {
-		t.Fatalf("clamped acquire: %d, %v", n, err)
+	if id := waitEntered(); id != jobs[0].ID() {
+		t.Fatalf("first job to start: %s, want %s", id, jobs[0].ID())
 	}
-	// And a waiter gives up when its context dies.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := a.acquire(ctx, 1); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("ctx-bound acquire error = %v", err)
+	holdsBudget(jobs[0], jobs[1])
+	release <- struct{}{}
+	waitDone(t, jobs[0])
+	if id := waitEntered(); id != jobs[1].ID() {
+		t.Fatalf("second job to start: %s, want %s", id, jobs[1].ID())
 	}
-	a.release(100)
-
-	// Budget 0 = off: nothing reserved, never blocks.
-	off := newAdmission(0)
-	if n, err := off.acquire(context.Background(), 1<<40); err != nil || n != 0 {
-		t.Fatalf("unbudgeted acquire: %d, %v", n, err)
+	if st := svc.Stats(); st.MemInUseBytes != est {
+		t.Fatalf("mem in use while %s runs: %d, want %d", jobs[1].ID(), st.MemInUseBytes, est)
+	}
+	release <- struct{}{}
+	waitDone(t, jobs[1])
+	for _, j := range jobs {
+		if v := svc.Snapshot(j); v.State != StateDone {
+			t.Fatalf("job %s: %+v", j.ID(), v)
+		}
+	}
+	if st := svc.Stats(); st.MemInUseBytes != 0 {
+		t.Fatalf("mem in use after both jobs: %d, want 0", st.MemInUseBytes)
 	}
 }
 

@@ -1,6 +1,9 @@
 // Package service is the long-running verification layer: a bounded job
-// queue in front of a fixed pool of workers that run the verify pipeline
-// with per-job deadlines, fronted by a content-addressed result cache.
+// queue whose dispatcher places each job under a lease on one of the
+// workers of a cluster.Coordinator — Config.Workers in-process workers,
+// plus joined remote ones in coordinator mode — that run the verify
+// pipeline with per-job deadlines, fronted by a content-addressed result
+// cache.
 //
 // The shape follows how parameterized-verification tooling is consumed in
 // practice: clients submit Guarded-Command specs (the specs/*.gc dialect)
@@ -25,15 +28,16 @@
 //   - Retry with backoff. Transient failures (panics, injected I/O
 //     faults) are retried with exponential backoff and deterministic
 //     jitter up to Config.MaxAttempts, then moved to a poison quarantine
-//     so one pathological spec cannot livelock the pool.
+//     so one pathological spec cannot livelock the workers.
 //   - Durable journal. With -cache-dir set, an append-only fsynced JSONL
 //     WAL records every engine-bound job; a restart replays unfinished
 //     jobs, idempotently, because results are content-addressed.
-//   - Memory admission control. A server-wide table-bytes budget gates
-//     job start on the explicit engine's pre-run estimate
-//     (verify.EstimatePeakTableBytes): concurrent jobs queue for budget
-//     instead of OOMing, and over-budget jobs are either rejected (503)
-//     or run degraded (workers clamped, MaxStates shrunk to fit).
+//   - Memory-aware placement. The in-process workers share one
+//     table-bytes budget: each grant reserves the explicit engine's
+//     pre-run estimate (verify.EstimatePeakTableBytes), so concurrent jobs
+//     queue for budget instead of OOMing, and over-budget jobs are either
+//     rejected (503) or run degraded (workers clamped, MaxStates shrunk to
+//     fit).
 package service
 
 import (
@@ -90,8 +94,11 @@ type Config struct {
 	// QueueSize bounds the number of jobs waiting for a worker (default
 	// 256). Submissions beyond it fail fast with ErrQueueFull.
 	QueueSize int
-	// Workers is the number of concurrent verification jobs (default
-	// runtime.GOMAXPROCS(0)).
+	// Workers is the number of in-process workers, each a one-slot
+	// member of the coordinator, so the number of jobs this process runs
+	// at once (default runtime.GOMAXPROCS(0)). A negative value starts
+	// none: a coordinator that only remote workers serve, which New
+	// accepts only with Cluster set.
 	Workers int
 	// EngineWorkers is the explicit-engine worker count handed to each
 	// job's verify.Options (default 1: with a full pool of job-level
@@ -127,7 +134,9 @@ type Config struct {
 	RetryBaseDelay time.Duration
 
 	// MemoryBudgetBytes, when > 0, caps the summed pre-run explicit-table
-	// estimates of concurrently running jobs (0 = admission control off).
+	// estimates of the jobs the in-process workers run at once (0 =
+	// unlimited); placement reserves each grant's estimate from it.
+	// Remote workers advertise budgets of their own.
 	MemoryBudgetBytes uint64
 	// DegradeOverBudget accepts jobs whose estimate alone exceeds the
 	// budget and runs them degraded — engine workers clamped to 1 and
@@ -136,10 +145,16 @@ type Config struct {
 	// submissions are rejected with ErrOverBudget.
 	DegradeOverBudget bool
 
-	// Cluster, when non-nil, runs the service as a cluster coordinator:
-	// jobs are dispatched to lease-holding workers (in-process or remote)
-	// instead of the local worker pool, and Workers is ignored in favor of
-	// a single dispatcher. See ClusterConfig.
+	// LeaseTTL is how long a lease survives without a heartbeat (default
+	// 10s). Must exceed HeartbeatInterval; cmd/lrserved validates this at
+	// the flag boundary.
+	LeaseTTL time.Duration
+	// HeartbeatInterval is the renewal cadence (default LeaseTTL/4).
+	HeartbeatInterval time.Duration
+
+	// Cluster, when non-nil, runs the service in coordinator mode: remote
+	// workers may join over HTTP (Handler mounts /cluster/v1/*). Without
+	// it the in-process workers are the only ones. See ClusterConfig.
 	Cluster *ClusterConfig
 
 	// Hooks are fault-injection points (nil = none).
@@ -154,8 +169,11 @@ func (c Config) withDefaults() Config {
 	if c.QueueSize <= 0 {
 		c.QueueSize = 256
 	}
-	if c.Workers <= 0 {
+	switch {
+	case c.Workers == 0:
 		c.Workers = runtime.GOMAXPROCS(0)
+	case c.Workers < 0:
+		c.Workers = 0
 	}
 	if c.EngineWorkers <= 0 {
 		c.EngineWorkers = 1
@@ -187,18 +205,16 @@ type Service struct {
 	specs   *verify.SpecCache   // compiled-spec cache in front of the DSL
 	memos   *corpus.FamilyMemos // per-family skeleton LTG + verdict memo, shared across jobs
 	wal     *journal            // nil without CacheDir
-	admit   *admission
 
-	// runner executes every attempt, on the local pool and on the
-	// in-process cluster workers alike.
+	// runner executes every in-process attempt.
 	runner cluster.Runner
 
-	// Cluster-coordinator state, nil/empty outside cluster mode: the lease
-	// coordinator and the in-process workers.
-	coord          *cluster.Coordinator
-	clusterWorkers []*cluster.LocalWorker
+	// The lease coordinator every job is dispatched through, and the
+	// in-process workers Start registers with it.
+	coord   *cluster.Coordinator
+	workers []*cluster.LocalWorker
 
-	queue     chan *Job
+	queue     chan *Job // the dispatcher's input
 	runCtx    context.Context
 	cancelRun context.CancelFunc
 	wg        sync.WaitGroup
@@ -231,6 +247,9 @@ const maxLoggedCacheErrors = 64
 // them up), and quarantined jobs reappear in the index so the poison
 // ledger survives restarts.
 func New(cfg Config) (*Service, error) {
+	if cfg.Workers < 0 && cfg.Cluster == nil {
+		return nil, errors.New("service: Workers < 0 starts no in-process worker, which needs Cluster so remote workers can join")
+	}
 	cfg = cfg.withDefaults()
 	cache, err := newResultCache(cfg.CacheSize, cfg.CacheDir)
 	if err != nil {
@@ -262,7 +281,6 @@ func New(cfg Config) (*Service, error) {
 		specs:        verify.NewSpecCache(cfg.SpecCacheSize),
 		memos:        corpus.NewFamilyMemos(0),
 		wal:          wal,
-		admit:        newAdmission(cfg.MemoryBudgetBytes),
 		queue:        make(chan *Job, queueCap),
 		runCtx:       ctx,
 		cancelRun:    cancel,
@@ -277,10 +295,8 @@ func New(cfg Config) (*Service, error) {
 			cfg.Log.Printf("journal: skipped undecodable record: %v", err)
 		}
 	}
-	if cfg.Cluster != nil {
-		// Before replay: recovered leases are reinstalled on the coordinator.
-		s.initCluster()
-	}
+	// Before replay: recovered leases are reinstalled on the coordinator.
+	s.initCluster()
 	if err := s.replay(recovery); err != nil {
 		cancel()
 		if wal != nil {
@@ -337,7 +353,7 @@ func (s *Service) replay(st replayState) error {
 			s.journalAppend(journalRecord{Op: opDone, ID: j.id})
 			continue
 		}
-		if lr, hasLease := st.leases[rec.ID]; hasLease && s.coord != nil {
+		if lr, hasLease := st.leases[rec.ID]; hasLease {
 			if expiry := time.UnixMilli(lr.ExpireAtMS); time.Now().Before(expiry) {
 				// The lease was live when the coordinator died: reinstall it.
 				// If the worker is still alive it re-joins and completes;
@@ -397,25 +413,6 @@ func (s *Service) jobFromRecord(rec journalRecord) *Job {
 	}
 	j.degraded = s.cfg.MemoryBudgetBytes > 0 && j.estimate > s.cfg.MemoryBudgetBytes
 	return j
-}
-
-// Start launches the worker pool — or, in cluster mode, the coordinator,
-// the in-process cluster workers, and the lease dispatcher.
-func (s *Service) Start() {
-	if s.coord != nil {
-		s.startCluster()
-		return
-	}
-	for w := 0; w < s.cfg.Workers; w++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for j := range s.queue {
-				s.metrics.JobsQueued.Add(-1)
-				s.run(j)
-			}
-		}()
-	}
 }
 
 // Metrics returns the service's instrumentation.
@@ -611,45 +608,9 @@ func (s *Service) evictTerminalLocked() {
 	}
 }
 
-// run executes one attempt of a job on the calling worker goroutine and
-// routes the outcome: done, terminal failure, retry, or quarantine. The
-// job's done channel is closed on every terminal path and only there.
-func (s *Service) run(j *Job) {
-	ctx, cancel := context.WithDeadline(s.runCtx, j.deadline)
-	defer cancel()
-
-	// Memory admission: block until the job's table estimate fits under
-	// the server budget. The job stays visibly queued while it waits.
-	reserved, err := s.admit.acquire(ctx, j.estimate)
-	if err != nil {
-		s.finishAttempt(j, nil, err)
-		return
-	}
-	defer s.admit.release(reserved)
-
-	attempt := s.startAttempt(j)
-	defer s.metrics.JobsRunning.Add(-1)
-	t0 := time.Now()
-	res, err := cluster.RunTask(ctx, s.runner, s.taskForJob(j, attempt), s.beforeVerify)
-	s.metrics.ObservePhase("verify", time.Since(t0))
-	s.finishAttempt(j, res, err)
-}
-
-// startAttempt marks j running and returns the attempt number.
-func (s *Service) startAttempt(j *Job) int {
-	s.mu.Lock()
-	j.state = StateRunning
-	j.attempts++
-	j.started = time.Now()
-	attempt := j.attempts
-	s.mu.Unlock()
-	s.metrics.JobsRunning.Add(1)
-	return attempt
-}
-
-// beforeVerify is the BeforeVerify hook site every attempt runs through,
-// inside cluster.RunTask's recover boundary: a hook error is a transient
-// failure, a hook panic a captured worker panic.
+// beforeVerify is the BeforeVerify hook site every in-process attempt runs
+// through, inside cluster.RunTask's recover boundary: a hook error is a
+// transient failure, a hook panic a captured worker panic.
 func (s *Service) beforeVerify(t cluster.Task) error {
 	if h := s.cfg.Hooks; h != nil && h.BeforeVerify != nil {
 		if err := h.BeforeVerify(t.JobID, t.Attempt); err != nil {
@@ -678,7 +639,9 @@ func (s *Service) taskForJob(j *Job, attempt int) cluster.Task {
 	return t
 }
 
-// finishAttempt classifies one attempt's outcome.
+// finishAttempt classifies one attempt's outcome and routes it: done,
+// terminal failure, retry, or quarantine. The job's done channel is
+// closed on every terminal path and only there.
 func (s *Service) finishAttempt(j *Job, res *Result, err error) {
 	switch {
 	case err == nil:
@@ -957,10 +920,10 @@ type Stats struct {
 	// canonical-text compiles. The lrserved_spec_cache_{hits,misses}_total
 	// metrics count submissions only — they are the front-end skip rate.
 	SpecCache verify.SpecCacheStats `json:"spec_cache"`
-	// Cluster occupancy (coordinator mode only): registered workers and
-	// outstanding leases.
-	ClusterWorkers int `json:"cluster_workers,omitempty"`
-	ClusterLeases  int `json:"cluster_leases,omitempty"`
+	// Coordinator occupancy: registered workers (in-process and joined)
+	// and outstanding leases.
+	ClusterWorkers int `json:"cluster_workers"`
+	ClusterLeases  int `json:"cluster_leases"`
 }
 
 // Stats returns current occupancy.
@@ -973,7 +936,7 @@ func (s *Service) Stats() Stats {
 		}
 	}
 	s.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Queued:           int(s.metrics.JobsQueued.Load()),
 		Running:          int(s.metrics.JobsRunning.Load()),
 		Workers:          s.cfg.Workers,
@@ -982,24 +945,21 @@ func (s *Service) Stats() Stats {
 		Quarantined:      quarantined,
 		CacheWriteErrors: s.metrics.CacheWriteErrors.Load(),
 		MemBudgetBytes:   s.cfg.MemoryBudgetBytes,
-		MemInUseBytes:    s.admit.used(),
+		MemInUseBytes:    s.coord.LocalMemInUse(),
 		SpecCache:        s.specs.Stats(),
+		ClusterWorkers:   len(s.coord.Workers()),
+		ClusterLeases:    s.coord.Outstanding(),
 	}
-	if s.coord != nil {
-		st.ClusterWorkers = len(s.coord.Workers())
-		st.ClusterLeases = s.coord.Outstanding()
-	}
-	return st
 }
 
 // Shutdown drains gracefully: new submissions are rejected, queued jobs
 // run to completion, jobs waiting out a retry backoff are failed in this
 // process but kept pending in the journal (a restart replays them), and
-// the call blocks until the pool exits. When ctx expires first, in-flight
-// jobs are canceled — they too finish as replayable failures — and
-// Shutdown still waits for the pool before returning ctx's error. The
-// journal is then compacted down to replayable and quarantined jobs; the
-// disk cache is write-through, so every completed result is already
+// the call blocks until the workers exit. When ctx expires first,
+// in-flight jobs are canceled — they too finish as replayable failures —
+// and Shutdown still waits for the workers before returning ctx's error.
+// The journal is then compacted down to replayable and quarantined jobs;
+// the disk cache is write-through, so every completed result is already
 // flushed.
 func (s *Service) Shutdown(ctx context.Context) error {
 	err := s.stop(ctx)
@@ -1027,27 +987,25 @@ func (s *Service) stop(ctx context.Context) error {
 	if !already {
 		close(s.queue)
 	}
-	done := make(chan struct{})
+	// The dispatcher drains the queue, then the leases it placed resolve:
+	// workers complete them, or ctx expires and cancelRun cancels the
+	// in-process attempts.
+	drained := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		if s.coord != nil {
-			// The dispatcher has drained the queue; wait for the leases it
-			// placed to resolve (workers complete, or ctx forces cancel).
-			s.coord.Quiesce(ctx)
-		}
-		close(done)
+		s.coord.Quiesce(ctx)
+		close(drained)
 	}()
+	var err error
 	select {
-	case <-done:
-		s.cancelRun()
-		s.stopCluster()
-		return nil
+	case <-drained:
 	case <-ctx.Done():
-		s.cancelRun()
-		s.stopCluster()
-		<-done
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	s.cancelRun()
+	<-drained
+	s.stopCluster()
+	return err
 }
 
 // compactJournal rewrites the WAL to the minimal replay set: pending
