@@ -113,10 +113,11 @@ func (bs *batchState) newID() string {
 	return fmt.Sprintf("batch-%06d", bs.nextID)
 }
 
-// SubmitBatch submits every spec as an ordinary job and returns the batch
-// handle. Individual rejections (bad spec, queue full) do not abort the
-// batch: the failed slot carries its error and the rest proceed. Only a
-// closed service rejects the batch as a whole.
+// SubmitBatch submits every spec as an ordinary job, journaling them all
+// with one fsync, and returns the batch handle. Individual rejections
+// (bad spec, queue full) do not abort the batch: the failed slot carries
+// its error and the rest proceed. Only a closed service rejects the batch
+// as a whole.
 func (s *Service) SubmitBatch(req BatchRequest) (*batch, error) {
 	if len(req.Specs) == 0 {
 		return nil, ErrBatchEmpty
@@ -124,21 +125,20 @@ func (s *Service) SubmitBatch(req BatchRequest) (*batch, error) {
 	if len(req.Specs) > maxBatchSpecs {
 		return nil, ErrBatchTooLarge
 	}
-	b := &batch{
-		id:   s.batches.newID(),
-		jobs: make([]*Job, len(req.Specs)),
-		errs: make([]string, len(req.Specs)),
-	}
+	b := &batch{id: s.batches.newID(), errs: make([]string, len(req.Specs))}
+	reqs := make([]Request, len(req.Specs))
 	for i, spec := range req.Specs {
-		j, err := s.Submit(Request{Spec: spec, Options: req.Options, TimeoutMS: req.TimeoutMS})
-		if err != nil {
-			if errors.Is(err, ErrShutdown) {
-				return nil, err
-			}
-			b.errs[i] = err.Error()
-			continue
+		reqs[i] = Request{Spec: spec, Options: req.Options, TimeoutMS: req.TimeoutMS}
+	}
+	var errs []error
+	b.jobs, errs = s.submitMany(reqs)
+	for i, err := range errs {
+		if errors.Is(err, ErrShutdown) {
+			return nil, err
 		}
-		b.jobs[i] = j
+		if err != nil {
+			b.errs[i] = err.Error()
+		}
 	}
 	s.batches.put(b)
 	return b, nil

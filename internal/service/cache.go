@@ -31,16 +31,32 @@ func cacheKey(canonicalSpec string, opts RequestOptions) string {
 }
 
 // resultCache is a size-bounded in-memory LRU of verification results,
-// optionally write-through persisted as one JSON file per key under dir.
-// Memory eviction never deletes the disk copy, so a key evicted under
-// pressure (or a fresh process pointed at the same -cache-dir) is re-served
-// from disk instead of re-verified.
+// optionally write-through persisted to one append-only log under dir,
+// results.log, one line per Put:
+//
+//	{"key":"<64 hex digits>","result":{...}}
+//
+// An index maps each key to the offset and length of its latest line, so
+// a memory miss costs one ReadAt when the key was ever stored and no I/O
+// when it was not. Memory eviction never touches the log, so a key
+// evicted under pressure (or a fresh process pointed at the same
+// -cache-dir) is re-served from disk instead of re-verified. The log is
+// never compacted: a key's superseded lines stay behind. Keys are
+// cacheKey's hex digests; the index holds the 32 bytes they spell.
 type resultCache struct {
 	mu    sync.Mutex
 	max   int
-	dir   string
 	order *list.List // front = most recently used
 	items map[string]*list.Element
+	log   *logFile // nil without dir
+	index map[digest]logSpan
+}
+
+type digest [sha256.Size]byte
+
+type logSpan struct {
+	off int64
+	n   int
 }
 
 type cacheItem struct {
@@ -48,25 +64,76 @@ type cacheItem struct {
 	res *Result
 }
 
+// A results.log line is resultLinePrefix, the key in hex, resultLineMid,
+// the Result's JSON and "}\n": the key sits at a fixed offset, so the
+// index is built without decoding a single result.
+const (
+	resultLinePrefix = `{"key":"`
+	resultLineMid    = `","result":`
+	resultBodyOff    = len(resultLinePrefix) + 2*sha256.Size + len(resultLineMid)
+)
+
 func newResultCache(maxEntries int, dir string) (*resultCache, error) {
 	if maxEntries <= 0 {
 		maxEntries = 1024
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("service: cache dir: %w", err)
-		}
-	}
-	return &resultCache{
+	c := &resultCache{
 		max:   maxEntries,
-		dir:   dir,
 		order: list.New(),
 		items: make(map[string]*list.Element),
-	}, nil
+		index: make(map[digest]logSpan),
+	}
+	if dir == "" {
+		return c, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("service: cache dir: %w", err)
+	}
+	// A line that does not parse is left in place and never indexed; a
+	// torn last line is cut. No result is decoded until a Get asks for it.
+	log, err := openLog(filepath.Join(dir, "results.log"), false, func(line []byte, off int64) bool {
+		d, _, ok := parseResultLine(line)
+		if ok {
+			c.index[d] = logSpan{off: off, n: len(line)}
+		}
+		return ok
+	})
+	if err != nil {
+		return nil, fmt.Errorf("service: result log: %w", err)
+	}
+	c.log = log
+	return c, nil
+}
+
+// parseResultLine splits a whole results.log line into its key and the
+// Result's JSON, which it does not decode.
+func parseResultLine(line []byte) (d digest, body []byte, ok bool) {
+	if len(line) < resultBodyOff+2 ||
+		string(line[:len(resultLinePrefix)]) != resultLinePrefix ||
+		string(line[resultBodyOff-len(resultLineMid):resultBodyOff]) != resultLineMid ||
+		string(line[len(line)-2:]) != "}\n" {
+		return d, nil, false
+	}
+	if _, err := hex.Decode(d[:], line[len(resultLinePrefix):resultBodyOff-len(resultLineMid)]); err != nil {
+		return d, nil, false
+	}
+	return d, line[resultBodyOff : len(line)-2], true
+}
+
+// digestOf is the 32 bytes a key names: the content address a cacheKey
+// spells in hex, or the SHA-256 of any other string.
+func digestOf(key string) digest {
+	var d digest
+	if len(key) == hex.EncodedLen(len(d)) {
+		if _, err := hex.Decode(d[:], []byte(key)); err == nil {
+			return d
+		}
+	}
+	return sha256.Sum256([]byte(key))
 }
 
 // Get returns the cached result for key, consulting memory first and then
-// the disk tier. A disk hit is promoted into memory.
+// the log. A log hit is promoted into memory.
 func (c *resultCache) Get(key string) (*Result, bool) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -75,49 +142,53 @@ func (c *resultCache) Get(key string) (*Result, bool) {
 		c.mu.Unlock()
 		return res, true
 	}
+	d := digestOf(key)
+	sp, ok := c.index[d]
 	c.mu.Unlock()
-	if c.dir == "" {
+	if !ok {
 		return nil, false
 	}
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
+	line := make([]byte, sp.n)
+	if err := c.log.readAt(line, sp.off); err != nil {
 		return nil, false
 	}
 	var res Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, false // corrupt entry: treat as a miss, Put overwrites it
+	if got, body, ok := parseResultLine(line); !ok || got != d || json.Unmarshal(body, &res) != nil {
+		return nil, false // corrupt entry: a miss, and the next Put supersedes it
 	}
 	c.insert(key, &res)
 	return &res, true
 }
 
 // Put stores the result in memory (evicting the least recently used entry
-// past the bound) and writes it through to the disk tier when configured.
+// past the bound) and appends it to the log when configured.
 func (c *resultCache) Put(key string, res *Result) error {
 	c.insert(key, res)
-	if c.dir == "" {
+	if c.log == nil {
 		return nil
 	}
-	data, err := json.MarshalIndent(res, "", "  ")
+	body, err := json.Marshal(res)
 	if err != nil {
 		return err
 	}
-	// Write-then-rename keeps a concurrently reading process (or a crash
-	// mid-write) from ever observing a torn entry.
-	tmp, err := os.CreateTemp(c.dir, "put-*")
+	d := digestOf(key)
+	line := make([]byte, 0, resultBodyOff+len(body)+2)
+	line = append(line, resultLinePrefix...)
+	line = hex.AppendEncode(line, d[:])
+	line = append(line, resultLineMid...)
+	line = append(append(line, body...), "}\n"...)
+	off, err := c.log.write(line)
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	c.mu.Lock()
+	// Concurrent Puts of one key may get here out of order: the line
+	// further into the log is the later one.
+	if cur, ok := c.index[d]; !ok || cur.off < off {
+		c.index[d] = logSpan{off: off, n: len(line)}
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), c.path(key))
+	c.mu.Unlock()
+	return nil
 }
 
 func (c *resultCache) insert(key string, res *Result) {
@@ -143,6 +214,10 @@ func (c *resultCache) Len() int {
 	return c.order.Len()
 }
 
-func (c *resultCache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
+// close releases the log; later Gets are served from memory only and
+// later Puts fail to persist.
+func (c *resultCache) close() {
+	if c.log != nil {
+		c.log.close()
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -320,10 +321,11 @@ func TestE2EAsyncPollAndErrors(t *testing.T) {
 }
 
 // TestE2EMetricsRendering pins the exposition format: HELP/TYPE headers,
-// sorted extra gauges, and the phase histogram, on a single node and in
-// coordinator mode.
+// sorted extra gauges, and the phase histogram, on a single node, in
+// coordinator mode, and with a journal, whose one job costs one group
+// commit for its two records.
 func TestE2EMetricsRendering(t *testing.T) {
-	for _, cfg := range []Config{{Workers: 1}, {Workers: 1, Cluster: &ClusterConfig{}}} {
+	for _, cfg := range []Config{{Workers: 1}, {Workers: 1, Cluster: &ClusterConfig{}}, {Workers: 1, CacheDir: t.TempDir()}} {
 		svc := newTestService(t, cfg, true)
 		ts := httptest.NewServer(svc.Handler())
 		defer ts.Close()
@@ -355,6 +357,21 @@ func TestE2EMetricsRendering(t *testing.T) {
 		} {
 			if !strings.Contains(body, want) {
 				t.Errorf("coordinator mode %t: /metrics missing %q\n---\n%s", cfg.Cluster != nil, want, body)
+			}
+		}
+		syncs, records := 0, 0
+		if cfg.CacheDir != "" {
+			syncs, records = 1, 2
+		}
+		for _, want := range []string{
+			"# TYPE lrserved_journal_syncs_total counter",
+			fmt.Sprintf("\nlrserved_journal_syncs_total %d\n", syncs),
+			"# TYPE lrserved_journal_records_total counter",
+			fmt.Sprintf("\nlrserved_journal_records_total %d\n", records),
+			fmt.Sprintf(`lrserved_phase_duration_seconds_count{phase="journal"} %d`, syncs),
+		} {
+			if !strings.Contains(body, want) {
+				t.Errorf("cache dir %t: /metrics missing %q\n---\n%s", cfg.CacheDir != "", want, body)
 			}
 		}
 	}

@@ -1,10 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -434,4 +440,241 @@ func TestQuarantineSurvivesRestart(t *testing.T) {
 	if !strings.Contains(quarantined[0].Error, "poison") {
 		t.Fatalf("quarantine reason lost: %q", quarantined[0].Error)
 	}
+}
+
+// failAfter is a logFile write seam that writes the first k bytes of a
+// write and then fails it, as a full disk or an I/O error part-way does.
+func failAfter(k int) func(f *os.File, p []byte) (int, error) {
+	return func(f *os.File, p []byte) (int, error) {
+		n, _ := f.Write(p[:k])
+		return n, errors.New("injected write failure")
+	}
+}
+
+// TestJournalFailedWriteDoesNotTakeNextRecord: a write that fails after k
+// bytes, for every k across one record, must not glue its partial line to
+// the next append, which would make an acknowledged, fsynced record
+// undecodable at replay.
+func TestJournalFailedWriteDoesNotTakeNextRecord(t *testing.T) {
+	first := journalRecord{Op: opSubmit, ID: "job-000001", Name: "tiny", Spec: tinySpec}
+	torn := journalRecord{Op: opDone, ID: "job-000001"}
+	next := journalRecord{Op: opSubmit, ID: "job-000002", Name: "tiny", Spec: tinySpec}
+	line, err := encodeRecords([]journalRecord{torn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < len(line); k++ {
+		path := filepath.Join(t.TempDir(), "journal.wal")
+		w, _, err := openJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.append(first); err != nil {
+			t.Fatal(err)
+		}
+		w.log.writeFn = failAfter(k)
+		if err := w.write(torn); err == nil {
+			t.Fatalf("k=%d: the injected failure was not reported", k)
+		}
+		w.log.writeFn = nil
+		if err := w.append(next); err != nil {
+			t.Fatalf("k=%d: append after a failed write: %v", k, err)
+		}
+		w.close()
+		w2, recs, err := openJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w2.close()
+		if len(w2.skipped) != 0 || len(recs) != 2 || recs[0].ID != first.ID || recs[1].ID != next.ID || recs[1].Op != opSubmit {
+			t.Fatalf("k=%d: replayed %+v (skipped %v), want the records on either side of the failed write", k, recs, w2.skipped)
+		}
+	}
+}
+
+// TestJournalGroupCommit: 32 appenders at once. Every record replays
+// exactly once, and they share fsyncs. The write seam holds the first
+// flush until the other 31 appenders are queued behind it, so the count
+// is deterministic: the first flush, then one for all the rest.
+func TestJournalGroupCommit(t *testing.T) {
+	const n = 32
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	w, _, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.metrics = NewMetrics()
+	queued := func() int {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(w.waiters)
+	}
+	var once sync.Once
+	w.log.writeFn = func(f *os.File, p []byte) (int, error) {
+		once.Do(func() {
+			for queued() < n-1 {
+				time.Sleep(time.Millisecond)
+			}
+		})
+		return f.Write(p)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			errs <- w.append(journalRecord{Op: opSubmit, ID: fmt.Sprintf("job-%06d", i), Spec: tinySpec})
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.close()
+	if syncs := w.metrics.JournalSyncs.Load(); syncs != 2 {
+		t.Fatalf("%d appenders took %d syncs, want 2: the first flush and one for the %d queued behind it", n, syncs, n-1)
+	}
+	if recs := w.metrics.JournalRecords.Load(); recs != n {
+		t.Fatalf("JournalRecords = %d, want %d", recs, n)
+	}
+	_, recs, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, rec := range recs {
+		seen[rec.ID]++
+	}
+	for i := 0; i < n; i++ {
+		if id := fmt.Sprintf("job-%06d", i); seen[id] != 1 {
+			t.Fatalf("%s replayed %d times, want once (records: %d)", id, seen[id], len(recs))
+		}
+	}
+}
+
+// TestBatchJournalsWithOneSync: a 64-spec batch on a journaled service
+// costs one fsync for all of its submit records, and a crash right after
+// SubmitBatch returns replays all 64 jobs.
+func TestBatchJournalsWithOneSync(t *testing.T) {
+	dir := t.TempDir()
+	svc1 := newTestService(t, Config{Workers: 1, CacheDir: dir}, false)
+	specs := sweepSources(t, 63) // the family's base spec and 63 variants
+	if len(specs) != 64 {
+		t.Fatalf("sweep has %d specs, want 64", len(specs))
+	}
+	b, err := svc1.SubmitBatch(BatchRequest{Specs: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range b.jobs {
+		if j == nil {
+			t.Fatalf("spec %d rejected: %s", i, b.errs[i])
+		}
+	}
+	m := svc1.Metrics()
+	if syncs, recs := m.JournalSyncs.Load(), m.JournalRecords.Load(); syncs != 1 || recs != 64 {
+		t.Fatalf("64-spec batch: %d journal syncs for %d records, want 1 for 64", syncs, recs)
+	}
+	svc1.crash()
+
+	svc2 := newTestService(t, Config{Workers: 1, CacheDir: dir}, true)
+	if got := svc2.Metrics().JobsReplayed.Load(); got != 64 {
+		t.Fatalf("JobsReplayed = %d, want 64", got)
+	}
+	for _, j1 := range b.jobs {
+		j2, ok := svc2.Job(j1.ID())
+		if !ok {
+			t.Fatalf("job %s not replayed", j1.ID())
+		}
+		waitDone(t, j2)
+		if v := svc2.Snapshot(j2); v.State != StateDone {
+			t.Fatalf("replayed job: %+v", v)
+		}
+	}
+}
+
+// TestCompletedJobDoesNotReplay: a done record is not waited on, but it
+// is written before the job is reported done, so a process kill after
+// completion leaves nothing to replay.
+func TestCompletedJobDoesNotReplay(t *testing.T) {
+	dir := t.TempDir()
+	svc1 := newTestService(t, Config{Workers: 1, CacheDir: dir}, false)
+	svc1.Start()
+	j, err := svc1.Submit(Request{Spec: tinySpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if v := svc1.Snapshot(j); v.State != StateDone || v.Cached {
+		t.Fatalf("job: %+v, want a fresh run", v)
+	}
+	if got := svc1.Metrics().JournalSyncs.Load(); got != 1 {
+		t.Fatalf("JournalSyncs = %d, want 1: the submit record is synced, the done record is not waited on", got)
+	}
+	svc1.crash()
+
+	svc2 := newTestService(t, Config{Workers: 1, CacheDir: dir}, true)
+	if got := svc2.Metrics().JobsReplayed.Load(); got != 0 {
+		t.Fatalf("JobsReplayed = %d after a crash past completion, want 0", got)
+	}
+}
+
+// FuzzJournalOpen: arbitrary journal bytes never panic openJournal; every
+// whole line that decodes is returned in order, and so is a torn last
+// line that decodes, while one that does not is cut; and one append
+// after the open is returned intact by the next reopen.
+func FuzzJournalOpen(f *testing.F) {
+	line := func(rec journalRecord) string {
+		data, _ := encodeRecords([]journalRecord{rec})
+		return string(data)
+	}
+	sub := line(journalRecord{Op: opSubmit, ID: "job-000001", Name: "tiny", Spec: tinySpec, TimeoutMS: 5000})
+	done := line(journalRecord{Op: opDone, ID: "job-000001"})
+	f.Add([]byte(sub + done))
+	f.Add([]byte(sub + done[:12]))                                                                                // torn tail
+	f.Add([]byte(sub + "{\"op\":\"done\",\"id\":\"job-\n" + done))                                                // garbage middle line
+	f.Add([]byte(sub + done[:10] + done))                                                                         // a line glued after a partial write
+	f.Add([]byte(sub + `{"op":"submit","op":"done","id":"job-000001","id":"job-000002"}` + "\n"))                 // duplicate keys
+	f.Add([]byte(sub + sub + done))                                                                               // duplicate records
+	f.Add([]byte(line(journalRecord{Op: opSubmit, ID: "job-000003", Spec: strings.Repeat("&", 190_000)}) + done)) // a 1.14 MB line
+	f.Add([]byte("\n \n" + done[:len(done)-1]))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "journal.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, recs, err := openJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []journalRecord
+		for _, l := range bytes.SplitAfter(data, []byte{'\n'}) {
+			var rec journalRecord
+			if len(bytes.TrimSpace(l)) > 0 && json.Unmarshal(l, &rec) == nil {
+				want = append(want, rec)
+			}
+		}
+		if len(recs) != len(want) || len(want) > 0 && !reflect.DeepEqual(recs, want) {
+			t.Fatalf("openJournal returned %d records, want %d:\n got %+v\nwant %+v", len(recs), len(want), recs, want)
+		}
+		next := journalRecord{Op: opSubmit, ID: "job-999999", Name: "tiny", Spec: tinySpec, TimeoutMS: 1}
+		if err := w.append(next); err != nil {
+			t.Fatal(err)
+		}
+		w.close()
+		_, recs, err = openJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != len(want)+1 || recs[len(recs)-1] != next {
+			t.Fatalf("after one append the reopen returned %d records ending %+v, want %d ending %+v", len(recs), recs[len(recs)-1:], len(want)+1, next)
+		}
+	})
 }

@@ -80,6 +80,14 @@ type Metrics struct {
 	verify  histogram
 	total   histogram
 	compile histogram // spec compile cost, misses only (lrserved_spec_compile_seconds)
+
+	// JournalSyncs counts the journal's group commits, one fsync each;
+	// JournalRecords counts the records written to it, including done
+	// records, which are written without waiting for a sync. Their ratio
+	// is the records each fsync made durable.
+	JournalSyncs   atomic.Uint64
+	JournalRecords atomic.Uint64
+	journal        histogram // one group commit: write plus fsync
 }
 
 // RecordPeakTableBytes raises the PeakTableBytes high-water mark to v when
@@ -106,7 +114,7 @@ func (m *Metrics) RecordInvariantCertBytes(v uint64) {
 // NewMetrics returns a Metrics with the standard latency buckets.
 func NewMetrics() *Metrics {
 	m := &Metrics{}
-	for _, h := range []*histogram{&m.parse, &m.verify, &m.total} {
+	for _, h := range []*histogram{&m.parse, &m.verify, &m.total, &m.journal} {
 		h.bounds = []float64{.0001, .0005, .001, .005, .01, .05, .1, .5, 1, 5, 10, 30}
 		h.counts = make([]uint64, len(h.bounds))
 	}
@@ -124,7 +132,7 @@ func (m *Metrics) ObserveCompile(d time.Duration) {
 }
 
 // ObservePhase records one per-phase latency sample (phases: parse, verify,
-// total).
+// total, journal).
 func (m *Metrics) ObservePhase(phase string, d time.Duration) {
 	switch phase {
 	case "parse":
@@ -133,6 +141,8 @@ func (m *Metrics) ObservePhase(phase string, d time.Duration) {
 		m.verify.observe(d.Seconds())
 	case "total":
 		m.total.observe(d.Seconds())
+	case "journal":
+		m.journal.observe(d.Seconds())
 	}
 }
 
@@ -210,6 +220,8 @@ func (m *Metrics) WriteTo(w io.Writer, extraGauges map[string]float64) {
 	counter("lrserved_jobs_replayed_total", "Jobs replayed from the journal at startup.", m.JobsReplayed.Load())
 	counter("lrserved_cache_write_errors_total", "Result write-through failures (the job still succeeds).", m.CacheWriteErrors.Load())
 	counter("lrserved_journal_errors_total", "Job-journal append or compaction failures, and undecodable records skipped at replay.", m.JournalErrors.Load())
+	counter("lrserved_journal_syncs_total", "Job-journal group commits, one fsync each.", m.JournalSyncs.Load())
+	counter("lrserved_journal_records_total", "Records written to the job journal, done records included.", m.JournalRecords.Load())
 	counter("lrserved_cache_hits_total", "Verifications served from the result cache.", m.CacheHits.Load())
 	counter("lrserved_cache_misses_total", "Verifications that had to run the engine.", m.CacheMisses.Load())
 	counter("lrserved_spec_cache_hits_total", "Submissions whose spec compile was served from the compiled-spec cache.", m.SpecCacheHits.Load())
@@ -238,10 +250,11 @@ func (m *Metrics) WriteTo(w io.Writer, extraGauges map[string]float64) {
 		gauge(n, "See lrserved documentation.", extraGauges[n])
 	}
 	const hname = "lrserved_phase_duration_seconds"
-	fmt.Fprintf(w, "# HELP %s Per-phase job latency.\n# TYPE %s histogram\n", hname, hname)
+	fmt.Fprintf(w, "# HELP %s Per-phase latency: parse, verify and total per job, journal per group commit.\n# TYPE %s histogram\n", hname, hname)
 	m.parse.write(w, hname, "parse")
 	m.verify.write(w, hname, "verify")
 	m.total.write(w, hname, "total")
+	m.journal.write(w, hname, "journal")
 	const cname = "lrserved_spec_compile_seconds"
 	fmt.Fprintf(w, "# HELP %s Cold spec parse+compile cost (compiled-spec cache misses).\n# TYPE %s histogram\n", cname, cname)
 	m.compile.write(w, cname, "")

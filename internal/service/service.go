@@ -29,9 +29,11 @@
 //     faults) are retried with exponential backoff and deterministic
 //     jitter up to Config.MaxAttempts, then moved to a poison quarantine
 //     so one pathological spec cannot livelock the workers.
-//   - Durable journal. With -cache-dir set, an append-only fsynced JSONL
-//     WAL records every engine-bound job; a restart replays unfinished
-//     jobs, idempotently, because results are content-addressed.
+//   - Durable journal. With -cache-dir set, an append-only JSONL WAL
+//     records every engine-bound job, fsynced by group commit before the
+//     job is enqueued, and verdicts are appended to results.log; a
+//     restart replays unfinished jobs, idempotently, because results are
+//     content-addressed.
 //   - Memory-aware placement. The in-process workers share one
 //     table-bytes budget: each grant reserves the explicit engine's
 //     pre-run estimate (verify.EstimatePeakTableBytes), so concurrent jobs
@@ -119,9 +121,10 @@ type Config struct {
 	// rendering, so repeat submissions and sweep variants of one protocol
 	// skip compilation even when the result cache misses.
 	SpecCacheSize int
-	// CacheDir, when non-empty, persists results as one JSON file per
-	// content address AND enables the durable job journal
-	// (<CacheDir>/journal.wal), both surviving restarts.
+	// CacheDir, when non-empty, persists results in the append-only
+	// <CacheDir>/results.log, one line per verdict, AND enables the
+	// durable job journal (<CacheDir>/journal.wal), both surviving
+	// restarts.
 	CacheDir string
 
 	// MaxAttempts bounds how many times a transiently-failed job (engine
@@ -263,6 +266,7 @@ func New(cfg Config) (*Service, error) {
 		var recs []journalRecord
 		wal, recs, err = openJournal(filepath.Join(cfg.CacheDir, "journal.wal"))
 		if err != nil {
+			cache.close()
 			return nil, err
 		}
 		recovery = reduceJournal(recs)
@@ -290,6 +294,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.runner = &cluster.LocalRunner{Specs: s.specs, Memos: s.memos}
 	if wal != nil {
+		wal.metrics = s.metrics
 		for _, err := range wal.skipped {
 			s.metrics.JournalErrors.Add(1)
 			cfg.Log.Printf("journal: skipped undecodable record: %v", err)
@@ -302,6 +307,7 @@ func New(cfg Config) (*Service, error) {
 		if wal != nil {
 			wal.close()
 		}
+		cache.close()
 		return nil, err
 	}
 	return s, nil
@@ -350,7 +356,7 @@ func (s *Service) replay(st replayState) error {
 			close(j.done)
 			s.jobs[j.id] = j
 			s.order = append(s.order, j.id)
-			s.journalAppend(journalRecord{Op: opDone, ID: j.id})
+			s.journalDone(j.id)
 			continue
 		}
 		if lr, hasLease := st.leases[rec.ID]; hasLease {
@@ -425,6 +431,74 @@ func (s *Service) Metrics() *Metrics { return s.metrics }
 // exceeds the server budget (and degraded mode is off), ErrShutdown
 // during drain.
 func (s *Service) Submit(req Request) (*Job, error) {
+	jobs, errs := s.submitMany([]Request{req})
+	return jobs[0], errs[0]
+}
+
+// submitMany submits every request as Submit describes and returns each
+// one's job or error, index-aligned with reqs. Each request is answered
+// from the cache or indexed on its own; then the submit records of all
+// the jobs that must run go to the journal in one append, one fsync,
+// before any of them is enqueued.
+func (s *Service) submitMany(reqs []Request) ([]*Job, []error) {
+	jobs := make([]*Job, len(reqs))
+	errs := make([]error, len(reqs))
+	var recs []journalRecord
+	var pending []int // indices of the jobs to journal and enqueue
+	for i, req := range reqs {
+		j, err := s.admit(req)
+		jobs[i], errs[i] = j, err
+		if err == nil && !j.cached {
+			pending = append(pending, i)
+			recs = append(recs, submitRecord(j))
+		}
+	}
+	if len(pending) == 0 {
+		return jobs, errs
+	}
+
+	// Journal before enqueue: once a client holds a job id, a crash must
+	// not lose the job.
+	journaled := s.journalAppend(recs...)
+
+	// Shutdown may have begun while the submit records were being written:
+	// stop() sets closed under s.mu and closes the queue after unlocking,
+	// so closed must be re-read under the same lock as the send. The jobs
+	// are already indexed, so journaled is published under s.mu too: the
+	// journal compaction of Shutdown reads it. The compensating fail
+	// records on the refusal path keep the WAL from replaying jobs the
+	// clients were told to resubmit.
+	var refused []journalRecord
+	s.mu.Lock()
+	for _, i := range pending {
+		j := jobs[i]
+		j.journaled = journaled
+		if !s.closed {
+			select {
+			case s.queue <- j:
+				s.metrics.JobsQueued.Add(1)
+				continue
+			default:
+			}
+		}
+		refusal := ErrQueueFull
+		if s.closed {
+			refusal = ErrShutdown
+		}
+		delete(s.jobs, j.id)
+		jobs[i], errs[i] = nil, refusal
+		refused = append(refused, journalRecord{Op: opFail, ID: j.id, Error: refusal.Error()})
+	}
+	s.mu.Unlock()
+	if journaled && len(refused) > 0 {
+		s.journalAppend(refused...)
+	}
+	return jobs, errs
+}
+
+// admit compiles req and either answers it from the cache, returning a
+// done job, or indexes a queued job for submitMany to journal and enqueue.
+func (s *Service) admit(req Request) (*Job, error) {
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
@@ -508,66 +582,45 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	s.metrics.CacheMisses.Add(1)
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil, ErrShutdown
 	}
 	j.id = s.newIDLocked()
 	j.state = StateQueued
 	s.jobs[j.id] = j
-	s.mu.Unlock()
-
-	// Journal before enqueue: once a client holds the job id, a crash
-	// must not lose the job. The compensating fail record on the
-	// queue-full path keeps the WAL from replaying a job the client was
-	// told to resubmit.
-	journaled := s.journalAppend(journalRecord{
-		Op: opSubmit, ID: j.id, Name: cs.Name, Spec: canonical,
-		Options: &opts, TimeoutMS: timeout.Milliseconds(),
-	})
-
-	// Shutdown may have begun while the submit record was being written:
-	// stop() sets closed under s.mu and closes the queue after unlocking,
-	// so closed must be re-read under the same lock as the send. The job
-	// is already indexed, so journaled is published under s.mu too: the
-	// journal compaction of Shutdown reads it.
-	s.mu.Lock()
-	j.journaled = journaled
-	if !s.closed {
-		select {
-		case s.queue <- j:
-			s.metrics.JobsQueued.Add(1)
-			s.mu.Unlock()
-			return j, nil
-		default:
-		}
-	}
-	refusal := ErrQueueFull
-	if s.closed {
-		refusal = ErrShutdown
-	}
-	delete(s.jobs, j.id)
-	s.mu.Unlock()
-	if journaled {
-		s.journalAppend(journalRecord{Op: opFail, ID: j.id, Error: refusal.Error()})
-	}
-	return nil, refusal
+	return j, nil
 }
 
-// journalAppend writes rec to the WAL if one is configured, reporting
-// whether the record is durably on disk. Append failures are counted and
-// logged, never fatal: the journal is a recovery upgrade, not a
-// correctness dependency of the running process.
-func (s *Service) journalAppend(rec journalRecord) bool {
+// journalAppend writes recs to the WAL if one is configured and waits for
+// their fsync, reporting whether they are durably on disk. Append
+// failures are counted and logged, never fatal: the journal is a recovery
+// upgrade, not a correctness dependency of the running process.
+func (s *Service) journalAppend(recs ...journalRecord) bool {
 	if s.wal == nil {
 		return false
 	}
-	if err := s.wal.append(rec); err != nil {
-		s.metrics.JournalErrors.Add(1)
-		s.cfg.Log.Printf("journal append %s %s: %v", rec.Op, rec.ID, err)
-		return false
+	return s.journalResult(s.wal.append(recs...), recs)
+}
+
+// journalDone writes a job's done record without waiting for its fsync
+// (see journal.write): a lost done record only replays a finished job.
+func (s *Service) journalDone(id string) {
+	rec := journalRecord{Op: opDone, ID: id}
+	s.journalResult(s.wal.write(rec), []journalRecord{rec})
+}
+
+func (s *Service) journalResult(err error, recs []journalRecord) bool {
+	if err == nil {
+		return true
 	}
-	return true
+	s.metrics.JournalErrors.Add(1)
+	more := ""
+	if len(recs) > 1 {
+		more = fmt.Sprintf(" (and %d more)", len(recs)-1)
+	}
+	s.cfg.Log.Printf("journal append %s %s%s: %v", recs[0].Op, recs[0].ID, more, err)
+	return false
 }
 
 func (s *Service) newIDLocked() string {
@@ -681,8 +734,11 @@ func (s *Service) complete(j *Job, res *Result) {
 		s.metrics.InvariantDisagreements.Add(1)
 	}
 	s.metrics.JobsDone.Add(1)
-	// Write-through before the terminal journal record: once the WAL says
-	// done, the result must be re-servable from the cache.
+	// Write-through before the terminal journal record, so a process kill
+	// never leaves a done record without its result line. A power loss
+	// can: neither record is fsynced, and when the done record outlives
+	// the result line, the verdict is recomputed on demand — one lost
+	// re-verification, never a wrong verdict.
 	s.writeThrough(j.key, res)
 	s.mu.Lock()
 	j.state = StateDone
@@ -693,7 +749,7 @@ func (s *Service) complete(j *Job, res *Result) {
 	j.doneClosed = true
 	s.mu.Unlock()
 	if j.journaled {
-		s.journalAppend(journalRecord{Op: opDone, ID: j.id})
+		s.journalDone(j.id) // written before done is closed; not waited on
 	}
 	if closeNow {
 		close(j.done)
@@ -958,12 +1014,13 @@ func (s *Service) Stats() Stats {
 // the call blocks until the workers exit. When ctx expires first,
 // in-flight jobs are canceled — they too finish as replayable failures —
 // and Shutdown still waits for the workers before returning ctx's error.
-// The journal is then compacted down to replayable and quarantined jobs;
-// the disk cache is write-through, so every completed result is already
-// flushed.
+// The journal is then compacted down to replayable and quarantined jobs
+// and the result log closed; the disk cache is write-through, so every
+// completed result is already in it.
 func (s *Service) Shutdown(ctx context.Context) error {
 	err := s.stop(ctx)
 	s.compactJournal()
+	s.cache.close()
 	return err
 }
 
@@ -1024,11 +1081,7 @@ func (s *Service) compactJournal() {
 		}
 		switch {
 		case j.replayable, j.state == StateQuarantined:
-			opts := j.spec.options
-			recs = append(recs, journalRecord{
-				Op: opSubmit, ID: j.id, Name: j.spec.name, Spec: j.spec.canonical,
-				Options: &opts, TimeoutMS: j.timeout.Milliseconds(),
-			})
+			recs = append(recs, submitRecord(j))
 			if j.state == StateQuarantined {
 				recs = append(recs, journalRecord{Op: opQuarantine, ID: j.id, Error: j.err})
 			}
@@ -1038,6 +1091,15 @@ func (s *Service) compactJournal() {
 	if err := s.wal.compact(recs); err != nil {
 		s.metrics.JournalErrors.Add(1)
 		s.cfg.Log.Printf("journal compaction: %v", err)
+	}
+}
+
+// submitRecord is the journal record a restart rebuilds j from.
+func submitRecord(j *Job) journalRecord {
+	opts := j.spec.options
+	return journalRecord{
+		Op: opSubmit, ID: j.id, Name: j.spec.name, Spec: j.spec.canonical,
+		Options: &opts, TimeoutMS: j.timeout.Milliseconds(),
 	}
 }
 
@@ -1069,4 +1131,5 @@ func (s *Service) crash() {
 	if s.wal != nil {
 		s.wal.close()
 	}
+	s.cache.close()
 }
