@@ -158,6 +158,27 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 		}), map[string]float64{
 			"peak_table_bytes": float64(verify.EstimatePeakTableBytes(cp, coldOpts)),
 		})
+
+		// Theorem 4.2 alone on the same shape: the verify path's call,
+		// which keeps only the distinct bad-cycle lengths, and (at 40%)
+		// lrverify's report, which copies and sorts up to 256 witness
+		// cycles. Both walk the same cycles, capped at 256.
+		sys := cp.Compile()
+		_, lengths := rcg.Build(sys).BadCycleLengths(256)
+		s.Add(fmt.Sprintf("theorem42/lengths/cold-d4-%d", pct), Measure(cfg.Benchtime, func(n int) {
+			for i := 0; i < n; i++ {
+				rcg.Build(sys).BadCycleLengths(256)
+			}
+		}), map[string]float64{"lengths": float64(len(lengths))})
+		if pct == 40 {
+			// The only error is the witness cap, which this shape reaches.
+			dl, _ := rcg.Build(sys).CheckDeadlockFreedom(256)
+			s.Add("theorem42/cycles/cold-d4-40", Measure(cfg.Benchtime, func(n int) {
+				for i := 0; i < n; i++ {
+					rcg.Build(sys).CheckDeadlockFreedom(256)
+				}
+			}), map[string]float64{"bad_cycles": float64(len(dl.BadCycles))})
+		}
 	}
 
 	// Invariant lane: cold symbolic analysis (traps + deadlock ranking +

@@ -24,6 +24,9 @@ func TestVerifySuiteSmoke(t *testing.T) {
 		"verify/check/sum-not-two",
 		"verify/check/cold-d4-40",
 		"verify/check/cold-d4-70",
+		"theorem42/lengths/cold-d4-40",
+		"theorem42/lengths/cold-d4-70",
+		"theorem42/cycles/cold-d4-40",
 		"table1/local/sum-not-two",
 		"table1/global/seq/sum-not-two/K=6",
 		"table1/global/par/sum-not-two/K=6",

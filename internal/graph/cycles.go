@@ -3,7 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ErrCycleLimit is returned (wrapped) when elementary-cycle enumeration
@@ -16,28 +16,70 @@ var ErrCycleLimit = errors.New("graph: elementary cycle limit exceeded")
 // exists to keep adversarial/property-test inputs from exploding.
 const DefaultCycleLimit = 200000
 
-// ElementaryCycles enumerates all elementary (simple) directed cycles of g
-// using Johnson's algorithm. Each cycle is a vertex sequence c[0..k-1] with
-// implicit closing edge c[k-1]->c[0], rotated so that c[0] is the smallest
-// vertex. Self-loops yield single-vertex cycles. Cycles are returned in a
-// deterministic order.
+// VisitElementaryCycles enumerates the elementary (simple) directed cycles of
+// g with Johnson's algorithm and hands each one to visit as it is found. A
+// cycle is a vertex sequence c[0..k-1] with implicit closing edge c[k-1]->c[0],
+// rotated so that c[0] is its smallest vertex; a self-loop is a one-vertex
+// cycle. Cycles arrive grouped by c[0] in increasing order, and within a group
+// in depth-first order over the sorted adjacency lists, so every run yields
+// the same sequence.
 //
-// Both the circuit walk and the unblock cascade run on explicit heap stacks,
-// never on the call stack, so adversarially deep graphs (a single cycle
-// through every vertex, say) cannot overflow the goroutine stack.
+// The slice visit receives is the walk's live stack: it is valid only during
+// the call and must not be modified. A caller that keeps a cycle copies it.
 //
-// If more than limit cycles exist, a wrapped ErrCycleLimit is returned along
-// with the cycles found so far. limit <= 0 selects DefaultCycleLimit.
-func (g *Digraph) ElementaryCycles(limit int) ([][]int, error) {
+// Every cycle counts against limit (limit <= 0 selects DefaultCycleLimit):
+// visit sees at most the first limit cycles, and finding one more ends the
+// walk with a wrapped ErrCycleLimit.
+//
+// For each start vertex s the walk is confined to s's strongly connected
+// component among the vertices >= s, found by a forward and a backward reach
+// over g's own adjacency; no subgraph is built, and every buffer is allocated
+// once per call. Both the circuit walk and the unblock cascade run on explicit
+// heap stacks, never on the call stack, so adversarially deep graphs (a single
+// cycle through every vertex, say) cannot overflow the goroutine stack.
+func (g *Digraph) VisitElementaryCycles(limit int, visit func(cycle []int)) error {
 	if limit <= 0 {
 		limit = DefaultCycleLimit
 	}
+	n := g.n
+	// Reverse adjacency in CSR form: the predecessors of v are
+	// pred[predOff[v]:predOff[v+1]].
+	predOff := make([]int, n+1)
+	for u := 0; u < n; u++ {
+		for _, v := range g.adj[u] {
+			predOff[v+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		predOff[v+1] += predOff[v]
+	}
+	pred := make([]int, predOff[n])
+	fill := slices.Clone(predOff[:n])
+	for u := 0; u < n; u++ {
+		for _, v := range g.adj[u] {
+			pred[fill[v]] = u
+			fill[v]++
+		}
+	}
+
+	// mark[v] is 2s+1 once the forward reach of round s has seen v, and 2s+2
+	// once v is known to lie in s's component; earlier rounds' values are
+	// smaller, so nothing is cleared between rounds.
+	type frame struct {
+		v     int
+		next  int
+		found bool
+	}
 	var (
-		cycles  [][]int
-		blocked = make([]bool, g.n)
-		bmap    = make([][]int, g.n)
+		mark    = make([]int, n)
+		blocked = make([]bool, n)
+		bmap    = make([][]int, n)
+		comp    []int
+		work    []int
 		stack   []int
 		ubStack []int
+		frames  []frame
+		found   int
 	)
 
 	// unblock clears the blocked flag of u and cascades through the b-map
@@ -60,30 +102,67 @@ func (g *Digraph) ElementaryCycles(limit int) ([][]int, error) {
 		}
 	}
 
-	// circuit is Johnson's recursive CIRCUIT procedure converted to an
-	// explicit frame stack: each frame holds the vertex, the next adjacency
-	// index to examine, and whether a cycle was found below it.
-	type frame struct {
-		v     int
-		next  int
-		found bool
-	}
-	var frames []frame
-	circuit := func(s int, sub *Digraph) error {
+	for s := 0; s < n; s++ {
+		reached, in := 2*s+1, 2*s+2
+		// Forward reach from s over the vertices >= s.
+		mark[s] = reached
+		work = append(work[:0], s)
+		for len(work) > 0 {
+			u := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, w := range g.adj[u] {
+				if w > s && mark[w] < reached {
+					mark[w] = reached
+					work = append(work, w)
+				}
+			}
+		}
+		// Backward reach from s over the forward-reached vertices: a vertex
+		// that reaches s through them is exactly a member of s's component.
+		mark[s] = in
+		comp = append(comp[:0], s)
+		work = append(work, s)
+		for len(work) > 0 {
+			u := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, w := range pred[predOff[u]:predOff[u+1]] {
+				if mark[w] == reached {
+					mark[w] = in
+					comp = append(comp, w)
+					work = append(work, w)
+				}
+			}
+		}
+		if len(comp) == 1 && !g.HasEdge(s, s) {
+			continue
+		}
+		for _, v := range comp {
+			blocked[v] = false
+			bmap[v] = bmap[v][:0]
+		}
+
+		// Johnson's recursive CIRCUIT procedure on an explicit frame stack:
+		// each frame holds the vertex, the next adjacency index to examine,
+		// and whether a cycle was found below it. Edges leaving the
+		// component are skipped.
 		frames = append(frames[:0], frame{v: s})
 		stack = append(stack[:0], s)
 		blocked[s] = true
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			adj := sub.adj[f.v]
+			adj := g.adj[f.v]
 			if f.next < len(adj) {
 				w := adj[f.next]
 				f.next++
+				if mark[w] != in {
+					continue
+				}
 				if w == s {
-					if len(cycles) >= limit {
+					if found == limit {
 						return fmt.Errorf("%w (limit %d)", ErrCycleLimit, limit)
 					}
-					cycles = append(cycles, append([]int(nil), stack...))
+					found++
+					visit(stack)
 					f.found = true
 					continue
 				}
@@ -99,80 +178,60 @@ func (g *Digraph) ElementaryCycles(limit int) ([][]int, error) {
 				unblock(f.v)
 			} else {
 				for _, w := range adj {
-					bmap[w] = append(bmap[w], f.v)
+					if mark[w] == in {
+						bmap[w] = append(bmap[w], f.v)
+					}
 				}
 			}
 			stack = stack[:len(stack)-1]
-			found := f.found
+			done := f.found
 			frames = frames[:len(frames)-1]
-			if found && len(frames) > 0 {
+			if done && len(frames) > 0 {
 				frames[len(frames)-1].found = true
 			}
 		}
-		return nil
 	}
+	return nil
+}
 
-	for s := 0; s < g.n; s++ {
-		// Subgraph on vertices >= s, restricted to the SCC containing s.
-		high := g.InducedSubgraph(func(v int) bool { return v >= s })
-		_, idx := high.SCCIndex()
-		sccOfS := idx[s]
-		sub := high.InducedSubgraph(func(v int) bool { return idx[v] == sccOfS })
-		if sub.OutDegree(s) == 0 {
-			continue
-		}
-		for _, v := range sub.ReachableSorted(s) {
-			blocked[v] = false
-			bmap[v] = bmap[v][:0]
-		}
-		if err := circuit(s, sub); err != nil {
-			sortCycles(cycles)
-			return cycles, err
-		}
-	}
+// ElementaryCycles returns every elementary cycle of g (see
+// VisitElementaryCycles for their form), sorted by length and then
+// lexicographically. If more than limit cycles exist, a wrapped ErrCycleLimit
+// is returned along with the first limit cycles of the walk, sorted the same
+// way. limit <= 0 selects DefaultCycleLimit.
+func (g *Digraph) ElementaryCycles(limit int) ([][]int, error) {
+	var cycles [][]int
+	err := g.VisitElementaryCycles(limit, func(c []int) {
+		cycles = append(cycles, slices.Clone(c))
+	})
 	sortCycles(cycles)
-	return cycles, nil
+	return cycles, err
 }
 
-// ReachableSorted returns the sorted list of vertices reachable from s.
-func (g *Digraph) ReachableSorted(s int) []int {
-	set := g.ReachableFrom(s)
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
+// sortCycles orders cycles by length, then lexicographically. The order is
+// total over distinct cycles, so sorting a filtered list gives the filtered
+// sorted list.
 func sortCycles(cs [][]int) {
-	sort.Slice(cs, func(i, j int) bool {
-		a, b := cs[i], cs[j]
+	slices.SortFunc(cs, func(a, b []int) int {
 		if len(a) != len(b) {
-			return len(a) < len(b)
+			return len(a) - len(b)
 		}
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
+		return slices.Compare(a, b)
 	})
 }
 
 // CyclesThroughAny returns the elementary cycles that contain at least one
-// vertex satisfying mark.
+// vertex satisfying mark, in ElementaryCycles' order. Every cycle, marked or
+// not, counts against limit, exactly as in ElementaryCycles; at the cap the
+// marked cycles among the first limit are returned with the error.
 func (g *Digraph) CyclesThroughAny(mark func(v int) bool, limit int) ([][]int, error) {
-	all, err := g.ElementaryCycles(limit)
 	var out [][]int
-	for _, c := range all {
-		for _, v := range c {
-			if mark(v) {
-				out = append(out, c)
-				break
-			}
+	err := g.VisitElementaryCycles(limit, func(c []int) {
+		if slices.ContainsFunc(c, mark) {
+			out = append(out, slices.Clone(c))
 		}
-	}
+	})
+	sortCycles(out)
 	return out, err
 }
 

@@ -20,9 +20,8 @@ import (
 // count.
 type Digraph struct {
 	n   int
+	m   int
 	adj [][]int
-	// edgeSet provides O(1) duplicate detection; key = u*n + v.
-	edgeSet map[int64]struct{}
 }
 
 // New returns an empty digraph with n vertices and no edges.
@@ -30,34 +29,28 @@ func New(n int) *Digraph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
 	}
-	return &Digraph{
-		n:       n,
-		adj:     make([][]int, n),
-		edgeSet: make(map[int64]struct{}),
-	}
+	return &Digraph{n: n, adj: make([][]int, n)}
 }
 
 // N returns the number of vertices.
 func (g *Digraph) N() int { return g.n }
 
 // M returns the number of edges.
-func (g *Digraph) M() int { return len(g.edgeSet) }
-
-func (g *Digraph) key(u, v int) int64 { return int64(u)*int64(g.n) + int64(v) }
+func (g *Digraph) M() int { return g.m }
 
 // AddEdge inserts the edge u->v. Duplicate insertions are ignored. Self-loops
 // are permitted (the RCG of 2-coloring, for example, has s-arc self-loops).
 func (g *Digraph) AddEdge(u, v int) {
 	g.check(u)
 	g.check(v)
-	k := g.key(u, v)
-	if _, dup := g.edgeSet[k]; dup {
-		return
-	}
-	g.edgeSet[k] = struct{}{}
-	// Insert keeping adjacency sorted for deterministic iteration.
+	// Insert keeping adjacency sorted for deterministic iteration; a target
+	// already at the insertion point is a duplicate.
 	a := g.adj[u]
 	i := sort.SearchInts(a, v)
+	if i < len(a) && a[i] == v {
+		return
+	}
+	g.m++
 	a = append(a, 0)
 	copy(a[i+1:], a[i:])
 	a[i] = v
@@ -69,8 +62,9 @@ func (g *Digraph) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	_, ok := g.edgeSet[g.key(u, v)]
-	return ok
+	a := g.adj[u]
+	i := sort.SearchInts(a, v)
+	return i < len(a) && a[i] == v
 }
 
 // Succ returns the sorted successor list of u. The returned slice is owned by

@@ -1,10 +1,14 @@
 package rcg
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"paramring/internal/dsl"
 	"paramring/internal/explicit"
+	"paramring/internal/graph"
 	"paramring/internal/protogen"
 )
 
@@ -109,5 +113,54 @@ func TestDeadlockRingSizesRandom(t *testing.T) {
 				t.Fatalf("trial %d K=%d: predicted %v explicit %v", trial, k, predicted[k], actual)
 			}
 		}
+	}
+}
+
+// TestBadCycleLengthsMatchesCheckDeadlockFreedom pins the verify path's
+// streaming call to the materializing report it replaces: over the sweep
+// shapes the service sees, the verdict and the distinct bad-cycle lengths
+// equal CheckDeadlockFreedom(256)'s Free and SortedBadCycleLengths — also
+// when the 256-cycle cap cuts the enumeration short, which the test requires
+// at least one spec to do.
+func TestBadCycleLengthsMatchesCheckDeadlockFreedom(t *testing.T) {
+	sw := protogen.Sweep{Seed: 4242, Families: []protogen.SweepFamily{
+		{Name: "d4w2-40", Domain: 4, Lo: -1, Hi: 0, Variants: 64, MovePercent: 40},
+		{Name: "d4w2-70", Domain: 4, Lo: -1, Hi: 0, Variants: 64, MovePercent: 70},
+		{Name: "d3bi-40", Domain: 3, Lo: -1, Hi: 1, Variants: 64, MovePercent: 40},
+		{Name: "d3bi-70", Domain: 3, Lo: -1, Hi: 1, Variants: 64, MovePercent: 70},
+		{Name: "d3w3", Domain: 3, Lo: -2, Hi: 0, Variants: 64, MovePercent: 40},
+		{Name: "d2bi", Domain: 2, Lo: -1, Hi: 1, Variants: 64, MovePercent: 40},
+	}}
+	specs, err := sw.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped, refuted := 0, 0
+	for _, sp := range specs {
+		p, err := dsl.Parse(sp.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		r := Build(p.Compile())
+		rep, err := r.CheckDeadlockFreedom(256)
+		if err != nil && !errors.Is(err, graph.ErrCycleLimit) {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		if err != nil {
+			capped++
+		}
+		free, lengths := r.BadCycleLengths(256)
+		if want := rep.SortedBadCycleLengths(); free != rep.Free || !slices.Equal(lengths, want) {
+			t.Fatalf("%s: BadCycleLengths = (%v, %v), CheckDeadlockFreedom: free %v, lengths %v",
+				sp.Name, free, lengths, rep.Free, want)
+		}
+		if !free {
+			refuted++
+		}
+	}
+	t.Logf("%d specs: %d refuted, %d hit the cycle cap", len(specs), refuted, capped)
+	if capped == 0 || refuted == len(specs) {
+		t.Fatalf("%d of %d specs hit the cycle cap and %d were refuted: the sweep must cover the cap and both verdicts",
+			capped, len(specs), refuted)
 	}
 }

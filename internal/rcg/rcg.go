@@ -14,6 +14,7 @@ package rcg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -105,9 +106,14 @@ type DeadlockReport struct {
 	// I(K) for any K.
 	Free bool
 	// BadCycles lists the elementary cycles of the deadlock-induced RCG that
-	// pass through an illegitimate local state. Each cycle of length n is a
-	// recipe for a global deadlock on rings of size n (and multiples).
-	// Populated only when Free is false.
+	// pass through an illegitimate local state, among the first cycleLimit
+	// elementary cycles of that graph in Johnson's enumeration order (see
+	// graph.VisitElementaryCycles), sorted by length and then
+	// lexicographically. Each cycle of length n is a recipe for a global
+	// deadlock on rings of size n (and multiples). When the cap cuts the
+	// enumeration short, shorter bad cycles can lie beyond it, so the
+	// shortest cycle listed need not be the smallest ring that deadlocks —
+	// and the list can even be empty. Populated only when Free is false.
 	BadCycles [][]core.LocalState
 	// LocalDeadlocks and IllegitimateDeadlocks echo the protocol's local
 	// deadlock analysis for reporting.
@@ -124,25 +130,7 @@ func (r *RCG) CheckDeadlockFreedom(cycleLimit int) (DeadlockReport, error) {
 		LocalDeadlocks:        r.sys.Deadlocks,
 		IllegitimateDeadlocks: r.sys.IllegitimateDeadlocks(),
 	}
-	dg := r.DeadlockGraph()
-	illegit := func(v int) bool { return !r.sys.Legit[v] }
-	rep.Free = !dg.HasCycleThroughAny(illegit)
-	if rep.Free {
-		return rep, nil
-	}
-	cycles, err := dg.CyclesThroughAny(illegit, cycleLimit)
-	rep.BadCycles = make([][]core.LocalState, len(cycles))
-	for i, c := range cycles {
-		states := make([]core.LocalState, len(c))
-		for j, v := range c {
-			states[j] = core.LocalState(v)
-		}
-		rep.BadCycles[i] = states
-	}
-	if err != nil {
-		return rep, fmt.Errorf("rcg: witness enumeration incomplete: %w", err)
-	}
-	return rep, nil
+	return r.badCycles(rep, r.DeadlockGraph(), cycleLimit)
 }
 
 // CheckDeadlockFreedomWithout applies Theorem 4.2 to the protocol obtained by
@@ -173,12 +161,17 @@ func (r *RCG) CheckDeadlockFreedomWithout(resolved []core.LocalState, cycleLimit
 	dg := r.g.InducedSubgraph(func(v int) bool {
 		return r.sys.IsDeadlock[v] && !drop[core.LocalState(v)]
 	})
-	illegit := func(v int) bool { return !r.sys.Legit[v] }
-	rep.Free = !dg.HasCycleThroughAny(illegit)
+	return r.badCycles(rep, dg, cycleLimit)
+}
+
+// badCycles fills rep's verdict and witness cycles from the deadlock graph
+// dg: the verdict from its SCCs, the cycles from Johnson's enumeration.
+func (r *RCG) badCycles(rep DeadlockReport, dg *graph.Digraph, cycleLimit int) (DeadlockReport, error) {
+	rep.Free = !dg.HasCycleThroughAny(r.illegitimate)
 	if rep.Free {
 		return rep, nil
 	}
-	cycles, err := dg.CyclesThroughAny(illegit, cycleLimit)
+	cycles, err := dg.CyclesThroughAny(r.illegitimate, cycleLimit)
 	rep.BadCycles = make([][]core.LocalState, len(cycles))
 	for i, c := range cycles {
 		states := make([]core.LocalState, len(c))
@@ -191,6 +184,36 @@ func (r *RCG) CheckDeadlockFreedomWithout(resolved []core.LocalState, cycleLimit
 		return rep, fmt.Errorf("rcg: witness enumeration incomplete: %w", err)
 	}
 	return rep, nil
+}
+
+func (r *RCG) illegitimate(v int) bool { return !r.sys.Legit[v] }
+
+// BadCycleLengths applies Theorem 4.2 and returns, when the protocol is not
+// free, the distinct lengths of the illegitimate cycles among the first
+// cycleLimit elementary cycles of the deadlock-induced RCG, in increasing
+// order: exactly CheckDeadlockFreedom(cycleLimit)'s Free and
+// SortedBadCycleLengths, from one walk that copies no cycle. The cap is part
+// of the definition (see DeadlockReport.BadCycles), so reaching it is no
+// error: the verdict needs only SCCs.
+func (r *RCG) BadCycleLengths(cycleLimit int) (free bool, lengths []int) {
+	dg := r.DeadlockGraph()
+	if !dg.HasCycleThroughAny(r.illegitimate) {
+		return true, nil
+	}
+	seen := make([]bool, dg.N()+1)
+	// The only error is the cap, which ends the walk where the definition
+	// stops.
+	_ = dg.VisitElementaryCycles(cycleLimit, func(c []int) {
+		if !seen[len(c)] && slices.ContainsFunc(c, r.illegitimate) {
+			seen[len(c)] = true
+		}
+	})
+	for l, ok := range seen {
+		if ok {
+			lengths = append(lengths, l)
+		}
+	}
+	return false, lengths
 }
 
 // UnrollCycle converts an RCG cycle over local deadlocks into a concrete

@@ -364,12 +364,22 @@ func (w *journal) write(recs ...journalRecord) error {
 }
 
 // compact atomically replaces the WAL with exactly recs (write temp,
-// fsync, rename) and closes the handle — the clean-shutdown epilogue.
+// fsync, rename) and closes the handle — the clean-shutdown epilogue. The
+// replacement keeps the WAL's file mode: os.CreateTemp makes files 0600,
+// which would take read access from everyone the umask let in when the WAL
+// was created.
 func (w *journal) compact(recs []journalRecord) error {
 	w.log.close()
 	tmp, err := os.CreateTemp(filepath.Dir(w.log.path), "journal-*")
 	if err != nil {
 		return err
+	}
+	if fi, err := os.Stat(w.log.path); err == nil {
+		if err := tmp.Chmod(fi.Mode().Perm()); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return err
+		}
 	}
 	enc := json.NewEncoder(tmp)
 	for _, rec := range recs {

@@ -242,6 +242,36 @@ func TestJournalCompact(t *testing.T) {
 	}
 }
 
+// TestCompactKeepsJournalMode: the clean-shutdown compaction replaces
+// journal.wal through a temp file, and the replacement must keep the mode
+// the WAL had, not os.CreateTemp's 0600.
+func TestCompactKeepsJournalMode(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal.wal")
+	svc := newTestService(t, Config{Workers: 1, CacheDir: dir}, false)
+	svc.Start()
+	if err := os.Chmod(path, 0o640); err != nil {
+		t.Fatal(err)
+	}
+	j, err := svc.Submit(Request{Spec: tinySpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	ctx, cancel := contextWithTestTimeout(t)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fi.Mode().Perm(); got != 0o640 {
+		t.Fatalf("journal.wal mode after compaction = %#o, want 0640", got)
+	}
+}
+
 func TestReduceJournal(t *testing.T) {
 	recs := []journalRecord{
 		{Op: opSubmit, ID: "a", Spec: "sa"},

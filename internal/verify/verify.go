@@ -17,15 +17,14 @@ package verify
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 
 	"paramring/internal/core"
 	"paramring/internal/explicit"
-	"paramring/internal/graph"
 	"paramring/internal/invariant"
 	"paramring/internal/ltg"
 	"paramring/internal/rcg"
@@ -147,9 +146,12 @@ type Report struct {
 	// Deadlock is the Theorem 4.2 verdict: Proved or Refuted (the theorem
 	// is exact, so never Inconclusive).
 	Deadlock Status
-	// DeadlockDetail is the underlying RCG report (witness cycles etc.).
-	DeadlockDetail rcg.DeadlockReport
-	// DeadlockWitnessK, when Refuted, is the smallest witness ring size.
+	// DeadlockWitnessK, when Refuted, is the smallest length of an
+	// illegitimate cycle among the first 256 elementary cycles of the
+	// deadlock-induced RCG in Johnson's order (a self-loop counts as 2, the
+	// smallest ring): a ring size that deadlocks, but not necessarily the
+	// smallest one, since the cap can leave shorter cycles unenumerated. It
+	// is 0 when none of those 256 cycles is illegitimate.
 	DeadlockWitnessK int
 
 	// Livelock is the Theorem 5.14 verdict: Proved (free for all K),
@@ -278,18 +280,17 @@ func CheckCtx(ctx context.Context, p *core.Protocol, opts Options) (*Report, err
 	// Theorem 4.2. A modest witness cap keeps dense deadlock graphs (e.g.
 	// action-free protocols, where every local state is a deadlock) cheap:
 	// the Free verdict is SCC-based and remains valid when witness
-	// enumeration hits the limit.
-	r := rcg.Build(sys)
-	dl, err := r.CheckDeadlockFreedom(256)
-	if err != nil && !errors.Is(err, graph.ErrCycleLimit) {
-		return nil, fmt.Errorf("verify: %w", err)
-	}
-	rep.DeadlockDetail = dl
-	if dl.Free {
+	// enumeration hits the limit. witnessLens are the distinct lengths of
+	// the illegitimate cycles among the first 256 enumerated.
+	free, witnessLens := rcg.Build(sys).BadCycleLengths(256)
+	if free {
 		rep.Deadlock = Proved
 	} else {
 		rep.Deadlock = Refuted
-		rep.DeadlockWitnessK = smallestWitness(dl)
+		if len(witnessLens) > 0 {
+			// Rings need at least two processes; a self-loop witness doubles.
+			rep.DeadlockWitnessK = max(witnessLens[0], 2)
+		}
 	}
 
 	if err := ctx.Err(); err != nil {
@@ -443,7 +444,8 @@ func CheckCtx(ctx context.Context, p *core.Protocol, opts Options) (*Report, err
 				rep.Disagreements = append(rep.Disagreements,
 					fmt.Sprintf("K=%d: explicit deadlock contradicts invariant-lane Holds", k))
 			}
-			if !rc.Deadlock && rep.Deadlock == Refuted && containsK(dl, k) {
+			if !rc.Deadlock && rep.Deadlock == Refuted &&
+				(slices.Contains(witnessLens, k) || (k == 2 && slices.Contains(witnessLens, 1))) {
 				rep.Disagreements = append(rep.Disagreements,
 					fmt.Sprintf("K=%d: Theorem 4.2 witness size not reproduced", k))
 			}
@@ -516,27 +518,4 @@ func (r *Report) Summary() string {
 		fmt.Fprintf(&b, "; DISAGREEMENTS: %v", r.Disagreements)
 	}
 	return b.String()
-}
-
-func smallestWitness(dl rcg.DeadlockReport) int {
-	best := 0
-	for _, c := range dl.BadCycles {
-		if best == 0 || len(c) < best {
-			best = len(c)
-		}
-	}
-	if best == 1 {
-		// Rings need at least two processes; a self-loop witness doubles.
-		return 2
-	}
-	return best
-}
-
-func containsK(dl rcg.DeadlockReport, k int) bool {
-	for _, c := range dl.BadCycles {
-		if len(c) == k || (len(c) == 1 && k == 2) {
-			return true
-		}
-	}
-	return false
 }
