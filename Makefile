@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-verify bench-synth bench-fleet bench-all bench-compare experiments figures clean
+.PHONY: all build vet test race cover bench bench-verify bench-synth bench-all bench-compare experiments figures clean
 
 all: build vet test
 
@@ -34,10 +34,7 @@ bench-verify:
 bench-synth:
 	$(GO) run ./cmd/lrbench -suite synth -o BENCH_synth.json
 
-bench-fleet:
-	$(GO) run ./cmd/lrbench -suite fleet -o BENCH_fleet.json
-
-bench-all: bench-verify bench-synth bench-fleet
+bench-all: bench-verify bench-synth
 
 # Re-measure into *.new.json and gate against the committed baselines.
 # The default threshold is wider than lrbench's 10% because this target
@@ -47,10 +44,8 @@ BENCH_THRESHOLD ?= 0.25
 bench-compare:
 	$(GO) run ./cmd/lrbench -suite verify -o BENCH_verify.new.json
 	$(GO) run ./cmd/lrbench -suite synth -o BENCH_synth.new.json
-	$(GO) run ./cmd/lrbench -suite fleet -o BENCH_fleet.new.json
 	$(GO) run ./cmd/lrbench -compare -threshold $(BENCH_THRESHOLD) BENCH_verify.json BENCH_verify.new.json
 	$(GO) run ./cmd/lrbench -compare -threshold $(BENCH_THRESHOLD) BENCH_synth.json BENCH_synth.new.json
-	$(GO) run ./cmd/lrbench -compare -threshold $(BENCH_THRESHOLD) BENCH_fleet.json BENCH_fleet.new.json
 
 # Regenerate every figure/claim of the paper (summary table).
 experiments:
@@ -70,4 +65,4 @@ figures:
 	$(GO) run ./cmd/lrviz -protocol sum-not-two-ss -graph ltg > figures/fig12-ltg.dot
 
 clean:
-	rm -rf figures cover.out BENCH_verify.new.json BENCH_synth.new.json BENCH_fleet.new.json
+	rm -rf figures cover.out BENCH_verify.new.json BENCH_synth.new.json

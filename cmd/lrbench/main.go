@@ -51,7 +51,7 @@ import (
 
 func main() {
 	defer cli.ExitOnPanic("lrbench")
-	suite := flag.String("suite", "", "suite to run: verify | synth | fleet")
+	suite := flag.String("suite", "", "suite to run: verify | synth")
 	out := flag.String("o", "", "write the snapshot JSON to this path (default: stdout)")
 	benchtime := flag.Duration("benchtime", 100*time.Millisecond, "per-metric time budget")
 	maxK := flag.Int("max-k", 12, "largest Table-1 global ring size (verify suite)")

@@ -60,7 +60,7 @@ action down: x[0] + x[-1] == 2 && x[0] == 2 -> x[0] := (x[0] - 1) % 3
 `
 
 // Suites names the suites Run understands.
-var Suites = []string{"verify", "synth", "fleet"}
+var Suites = []string{"verify", "synth"}
 
 // Run dispatches to the named suite.
 func Run(suite string, cfg Config) (*Snapshot, error) {
@@ -69,8 +69,6 @@ func Run(suite string, cfg Config) (*Snapshot, error) {
 		return VerifySuite(cfg)
 	case "synth":
 		return SynthSuite(cfg)
-	case "fleet":
-		return FleetSuite(cfg)
 	default:
 		return nil, fmt.Errorf("unknown suite %q (have: %v)", suite, Suites)
 	}

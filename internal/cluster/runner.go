@@ -16,12 +16,15 @@ type Runner interface {
 	Run(ctx context.Context, t Task) (*verify.Result, error)
 }
 
-// LocalRunner runs tasks in-process through the standard memoized front
-// end: the compiled-spec cache skips parse/validate/compile for repeat
-// canonical specs, and same-family tasks share one skeleton LTG and one
-// Theorem 5.14 verdict memo. Sharing never changes a verdict — the
-// skeleton is shape-guarded and memo verdicts are pure functions of the
-// key — so the content-addressed result cache stays byte-stable.
+// LocalRunner runs tasks in-process, on the service's in-process workers
+// and in remote worker processes alike: the compiled-spec cache skips
+// parse/validate/compile for repeat canonical specs, and same-family
+// tasks share one skeleton LTG and one Theorem 5.14 verdict memo. Sharing
+// never changes a verdict — the skeleton is shape-guarded and memo
+// verdicts are pure functions of the key — so the content-addressed
+// result cache stays byte-stable. On batches of sweep siblings the memo
+// costs about 17 MiB of peak RSS, and its effect on throughput is within
+// run-to-run spread (PERFORMANCE.md, "Per-family memo ablation").
 type LocalRunner struct {
 	Specs *verify.SpecCache
 	Memos *corpus.FamilyMemos

@@ -1,3 +1,12 @@
+// Package corpus shares Theorem 5.14 work across a protocol family: the
+// protocols of one (domain, window, legitimacy) shape, such as the
+// siblings of a protogen sweep. FamilyKey names the shape, and
+// FamilyMemos hands every member of a family one skeleton LTG, which
+// donates its s-arc RCG, and one verdict memo. The service's runner
+// (cluster.LocalRunner) fills ltg.CheckOptions from it on every attempt.
+// Sharing never changes a verdict: the skeleton is only consulted when the
+// shapes match exactly (ltg.LTG.SameShape), and memo verdicts are pure
+// functions of the t-arc subset.
 package corpus
 
 import (
@@ -45,7 +54,7 @@ type familyShared struct {
 }
 
 // FamilyMemos is a bounded registry of per-family shared memo state. The
-// bound is FIFO: fleets are grouped by family, so by the time a family is
+// bound is FIFO: batches are grouped by family, so by the time a family is
 // evicted its members have almost certainly all been verified. All methods
 // are safe for concurrent use.
 type FamilyMemos struct {

@@ -38,8 +38,8 @@ func familyMember(t *testing.T, rng *rand.Rand, idx int) *core.Protocol {
 }
 
 // A shared skeleton + memo must never change a report, and verifying many
-// same-shape protocols through one memo must actually hit it (the fleet
-// runner's reason to share).
+// same-shape protocols through one memo must actually hit it (the reason
+// the service shares one per family).
 func TestCheckLivelockFreedomSharedSkeletonMatchesIsolated(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
 	skeleton := Build(familyMember(t, rng, 0).Compile())

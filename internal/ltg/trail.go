@@ -76,10 +76,10 @@ type CheckOptions struct {
 	MaxTArcs int
 	// Skeleton, when non-nil and of the same shape as the protocol under
 	// check (see LTG.SameShape), donates its s-arc RCG so the check skips
-	// rebuilding the continuation relation — fleet runs verifying a family
-	// of same-shape protocols share one skeleton this way. A skeleton of a
-	// different shape is ignored (the check falls back to building its own
-	// graph), so passing one is always sound.
+	// rebuilding the continuation relation — the service's per-family memos
+	// (corpus.FamilyMemos) share one skeleton across same-shape protocols
+	// this way. A skeleton of a different shape is ignored (the check falls
+	// back to building its own graph), so passing one is always sound.
 	Skeleton *LTG
 	// Memo, when non-nil, caches Theorem 5.14 subset verdicts across
 	// checks. It is consulted only when Skeleton is set and shape-

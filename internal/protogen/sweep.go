@@ -1,77 +1,61 @@
 package protogen
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"os"
 	"strings"
 
 	"paramring/internal/core"
 	"paramring/internal/dsl"
 )
 
-// Sweep is a deterministic protocol-generation manifest: a seed plus a list
+// Sweep is a deterministic protocol-generation recipe: a seed plus a list
 // of families, each a fixed protocol shape (domain, window, one shared
 // legitimacy predicate) spawning Variants randomly-tabled self-disabling
-// members. Because every member of a family shares its shape, the fleet
-// runner can verify a whole family through one skeleton LTG and one
-// Theorem 5.14 verdict memo — the sweep is the corpus layer's stress input.
+// members. Every member of a family shares its shape, so the service's
+// per-family memos (corpus.FamilyMemos) hit across siblings; the result
+// pin tests and the end-to-end benchmark draw their batches from sweeps.
 //
-// The same (Seed, Families) always produces byte-identical spec sources, so
-// a manifest checked into a repo pins its corpus exactly.
+// The same (Seed, Families) always produces byte-identical spec sources.
 type Sweep struct {
-	Seed     int64         `json:"seed"`
-	Families []SweepFamily `json:"families"`
+	Seed     int64
+	Families []SweepFamily
 }
 
 // SweepFamily shapes one family of generated specs.
 type SweepFamily struct {
 	// Name prefixes the generated spec names: "<name>-base" and
 	// "<name>-vNNN". Must be unique within the sweep.
-	Name string `json:"name"`
+	Name string
 	// Domain is the variable domain size (>= 2).
-	Domain int `json:"domain"`
+	Domain int
 	// Lo, Hi set the read window; Lo <= 0 <= Hi.
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
+	Lo int
+	Hi int
 	// Variants is the number of randomly-tabled members beyond the base.
-	Variants int `json:"variants"`
+	Variants int
 	// MovePercent is the per-state probability (0..100) of an outgoing
 	// transition (default 40), as in Options.
-	MovePercent int `json:"move_percent,omitempty"`
+	MovePercent int
 	// Nondet allows up to two candidate writes per enabled state.
-	Nondet bool `json:"nondet,omitempty"`
+	Nondet bool
 }
 
 // SweepSpec is one generated spec: a guarded-commands source plus the names
-// of the sweep specs it depends on (variants depend on their family base,
-// so editing the base dirties the whole family in the corpus graph).
+// of the sweep specs it depends on (each variant names its family base,
+// which is how callers find a family's base).
 type SweepSpec struct {
 	Name   string
 	Source string
 	Deps   []string
 }
 
-// LoadSweep reads a sweep manifest from a JSON file.
-func LoadSweep(path string) (*Sweep, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var sw Sweep
-	if err := json.Unmarshal(data, &sw); err != nil {
-		return nil, fmt.Errorf("sweep manifest %s: %w", path, err)
-	}
-	return &sw, nil
-}
-
 // Specs generates the sweep deterministically: for each family, one base
 // spec (the shared shape, no actions) followed by Variants self-disabling
 // members whose transition tables are drawn per-variant. Every emitted
 // source is round-tripped through the DSL parser before it is returned, so
-// a Specs() success guarantees the corpus can ingest the result.
+// a Specs() success guarantees every result parses and compiles.
 func (sw *Sweep) Specs() ([]SweepSpec, error) {
 	if len(sw.Families) == 0 {
 		return nil, fmt.Errorf("sweep: no families")

@@ -1,9 +1,6 @@
 package protogen
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -124,32 +121,6 @@ func TestSweepVariantsSelfDisabling(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("sweep generated no transitions at all; nothing exercised")
-	}
-}
-
-func TestLoadSweepRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.json")
-	data, err := json.Marshal(testSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sw, err := LoadSweep(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sw.Specs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := testSweep().Specs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("manifest loaded from disk must generate the same specs")
 	}
 }
 

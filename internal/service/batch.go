@@ -23,11 +23,14 @@ var (
 	ErrBatchTooLarge = fmt.Errorf("batch exceeds %d specs", maxBatchSpecs)
 )
 
-// BatchRequest is a corpus-style submission: many specs, one option set.
-// Every spec becomes an ordinary job — same placement, cache, journal and
-// quarantine behavior as a single POST /v1/verify — and same-family specs
-// share the service's per-family skeleton/memo state, which is what makes
-// a batch of sweep siblings cheaper than the sum of its parts.
+// BatchRequest submits many specs under one option set. Every spec
+// becomes an ordinary job — same placement, cache, journal and quarantine
+// behavior as a single POST /v1/verify — so re-posting a batch runs only
+// the specs whose canonical text or options changed; the rest are result
+// cache hits. Same-family specs share the service's per-family
+// skeleton/memo state; on batches of sweep siblings it costs about 17 MiB
+// of peak RSS, and its effect on throughput is within run-to-run spread
+// (PERFORMANCE.md, "Per-family memo ablation").
 type BatchRequest struct {
 	Specs   []string       `json:"specs"`
 	Options RequestOptions `json:"options"`

@@ -2,11 +2,15 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"paramring/internal/protogen"
 )
@@ -191,4 +195,76 @@ func TestBatchResultsMatchIndividualSubmissions(t *testing.T) {
 			t.Fatalf("spec %d: batch result differs from solo submission:\nbatch: %s\nsolo:  %s", i, gb, wb)
 		}
 	}
+}
+
+// FuzzVerifyBatchHandler posts arbitrary bytes to POST /v1/verify/batch.
+// Whatever the body, the handler must answer 200, 202, 400 or 503 with a
+// JSON body; an accepted batch holds one item per spec, at most
+// maxBatchSpecs, each either rejected with an error and no job or carrying
+// a job; and the service must still shut down. The one-second deadlines
+// bound a waited batch, and the small memory budget refuses an oversized
+// cross-validation per item instead of allocating it. The committed seeds
+// (testdata/fuzz/FuzzVerifyBatchHandler) replay under -race in CI's chaos
+// job.
+func FuzzVerifyBatchHandler(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		svc, err := New(Config{
+			Workers:           1,
+			DefaultTimeout:    time.Second,
+			MaxTimeout:        time.Second,
+			MemoryBudgetBytes: 1 << 20,
+			Log:               log.New(io.Discard, "", 0),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.Start()
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/verify/batch", bytes.NewReader(body)))
+
+		switch rec.Code {
+		case http.StatusOK, http.StatusAccepted, http.StatusBadRequest, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("status %d, body %s", rec.Code, rec.Body.Bytes())
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("status %d with a body that is not JSON: %q", rec.Code, rec.Body.Bytes())
+		}
+		if rec.Code == http.StatusOK || rec.Code == http.StatusAccepted {
+			var view BatchView
+			if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+				t.Fatalf("status %d: %v", rec.Code, err)
+			}
+			if view.Total != len(view.Items) || view.Total < 1 || view.Total > maxBatchSpecs {
+				t.Fatalf("total %d with %d items (limit %d)", view.Total, len(view.Items), maxBatchSpecs)
+			}
+			if (view.Pending == 0) != (rec.Code == http.StatusOK) {
+				t.Fatalf("status %d with %d pending jobs", rec.Code, view.Pending)
+			}
+			for i, it := range view.Items {
+				switch {
+				case it.Index != i:
+					t.Fatalf("item %d has index %d", i, it.Index)
+				case it.JobID == "" && (it.Error == "" || it.State != "" || it.Result != nil):
+					t.Fatalf("item %d has no job and is not a rejection: %+v", i, it)
+				case it.JobID != "" && it.Error != "" && it.State != StateFailed && it.State != StateQuarantined:
+					// An accepted job carries an error only once it failed,
+					// for example past its deadline.
+					t.Fatalf("item %d has job %s in state %q and error %q", i, it.JobID, it.State, it.Error)
+				}
+			}
+		}
+
+		done := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			done <- svc.Shutdown(ctx)
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("Shutdown did not return")
+		}
+	})
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -164,6 +165,20 @@ func TestRetryRespectsDeadline(t *testing.T) {
 	}
 	if got := svc.Metrics().JobsTimeout.Load(); got != 1 {
 		t.Fatalf("JobsTimeout = %d, want 1", got)
+	}
+}
+
+// TestHugeTimeoutClampsToMax: a client deadline too large to express in
+// nanoseconds is clamped to MaxTimeout, not wrapped into the past.
+func TestHugeTimeoutClampsToMax(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 1, MaxTimeout: time.Minute}, true)
+	j, err := svc.Submit(Request{Spec: tinySpec, TimeoutMS: math.MaxInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if v := svc.Snapshot(j); v.State != StateDone || j.timeout != time.Minute {
+		t.Fatalf("job: state=%s timeout=%v err=%q, want done under the 1m clamp", v.State, j.timeout, v.Error)
 	}
 }
 

@@ -545,7 +545,12 @@ func (s *Service) admit(req Request) (*Job, error) {
 
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		// Clamp before converting: past MaxInt64 nanoseconds the product
+		// wraps to a deadline in the past.
+		timeout = s.cfg.MaxTimeout
+		if ms := time.Duration(req.TimeoutMS); ms <= s.cfg.MaxTimeout/time.Millisecond {
+			timeout = ms * time.Millisecond
+		}
 	}
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout

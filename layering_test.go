@@ -66,8 +66,10 @@ func dependencies(deps map[string]map[string]bool, pkg string) map[string]bool {
 }
 
 // TestLayering pins the direction of the import graph: the verification
-// engines never reach the serving layers built on them, and the cluster
-// layer is driven by the service, never the reverse.
+// engines never reach the serving layers built on them, the cluster layer
+// is driven by the service, never the reverse, and the per-family memos
+// (corpus) build on ltg alone, never on the verify facade or the layers
+// above it.
 func TestLayering(t *testing.T) {
 	deps := importGraph(t)
 	rules := map[string][]string{
@@ -79,6 +81,7 @@ func TestLayering(t *testing.T) {
 		"invariant": {"service", "cluster", "corpus"},
 		"verify":    {"service", "cluster", "corpus"},
 		"cluster":   {"service"},
+		"corpus":    {"verify", "invariant", "service", "cluster"},
 	}
 	for pkg, forbidden := range rules {
 		if deps[pkg] == nil {
