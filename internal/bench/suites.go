@@ -162,10 +162,10 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 		// lrverify's report, which copies and sorts up to 256 witness
 		// cycles. Both walk the same cycles, capped at 256.
 		sys := cp.Compile()
-		_, lengths := rcg.Build(sys).BadCycleLengths(256)
+		_, lengths, _ := rcg.Build(sys).BadCycleLengths(context.Background(), 256)
 		s.Add(fmt.Sprintf("theorem42/lengths/cold-d4-%d", pct), Measure(cfg.Benchtime, func(n int) {
 			for i := 0; i < n; i++ {
-				rcg.Build(sys).BadCycleLengths(256)
+				rcg.Build(sys).BadCycleLengths(context.Background(), 256)
 			}
 		}), map[string]float64{"lengths": float64(len(lengths))})
 		if pct == 40 {

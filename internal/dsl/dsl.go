@@ -70,8 +70,10 @@ var operators = []string{
 	"(", ")", "[", "]", ":", ",", "|", "!", "<", ">", "+", "-", "*", "%",
 }
 
-func lexLine(line string, lineNo int) ([]token, error) {
-	l := &lexer{src: line, line: lineNo}
+// lexLine appends the tokens of one logical line to toks[:0], so a caller
+// lexing line after line reuses one token buffer.
+func lexLine(toks []token, line string, lineNo int) ([]token, error) {
+	l := &lexer{src: line, line: lineNo, toks: toks[:0]}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -124,10 +126,10 @@ func logicalLines(src string) []struct {
 	line int
 } {
 	physical := strings.Split(src, "\n")
-	var out []struct {
+	out := make([]struct {
 		text string
 		line int
-	}
+	}, 0, len(physical))
 	for i := 0; i < len(physical); i++ {
 		text := physical[i]
 		start := i + 1

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"sync"
 
 	"paramring/internal/core"
 )
@@ -30,14 +31,34 @@ func ParseFile(path string) (*core.Protocol, error) {
 	return p, nil
 }
 
+// tokenBuffers lends ParseSpec a token buffer. A spec's lines are lexed one
+// at a time into one buffer (the parser keeps no token), and a returned
+// buffer keeps the capacity its longest line gave it, so later specs are
+// lexed without growing one again.
+var tokenBuffers = sync.Pool{New: func() any { return new([]token) }}
+
+// maxPooledTokens bounds the buffers that go back to tokenBuffers.
+const maxPooledTokens = 4096
+
 // ParseSpec parses without compiling (exposed for tooling and tests).
 func ParseSpec(src string) (*Spec, error) {
 	spec := &Spec{Lo: 1} // Lo>Hi marks "window not yet set"
 	spec.Hi = 0
 	seenWindow := false
 	seenDomain := false
+	buf := tokenBuffers.Get().(*[]token)
+	toks := *buf
+	defer func() {
+		if cap(toks) <= maxPooledTokens {
+			// Tokens hold substrings of src: a pooled buffer keeps none.
+			clear(toks[:cap(toks)])
+			*buf = toks[:0]
+			tokenBuffers.Put(buf)
+		}
+	}()
 	for _, ll := range logicalLines(src) {
-		toks, err := lexLine(ll.text, ll.line)
+		var err error
+		toks, err = lexLine(toks, ll.text, ll.line)
 		if err != nil {
 			return nil, err
 		}
@@ -392,7 +413,7 @@ func (p *parser) parseAtom() (expr, error) {
 // tools that take predicates on the command line (e.g. a tree root's
 // legitimacy predicate).
 func ParseExpr(src string, valueNames []string, lo, hi int) (func(v core.View) bool, error) {
-	toks, err := lexLine(src, 1)
+	toks, err := lexLine(nil, src, 1)
 	if err != nil {
 		return nil, err
 	}

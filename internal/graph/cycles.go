@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -15,6 +16,10 @@ var ErrCycleLimit = errors.New("graph: elementary cycle limit exceeded")
 // the paper's protocols are tiny (<= 27 vertices), so this is generous; it
 // exists to keep adversarial/property-test inputs from exploding.
 const DefaultCycleLimit = 200000
+
+// pollEvery is how many steps of a cycle walk pass between two polls of
+// its context.
+const pollEvery = 256
 
 // VisitElementaryCycles enumerates the elementary (simple) directed cycles of
 // g with Johnson's algorithm and hands each one to visit as it is found. A
@@ -37,9 +42,22 @@ const DefaultCycleLimit = 200000
 // once per call. Both the circuit walk and the unblock cascade run on explicit
 // heap stacks, never on the call stack, so adversarially deep graphs (a single
 // cycle through every vertex, say) cannot overflow the goroutine stack.
-func (g *Digraph) VisitElementaryCycles(limit int, visit func(cycle []int)) error {
+//
+// The walk polls ctx once every pollEvery start vertices and once every
+// pollEvery circuit steps, and ends with ctx.Err() once ctx is done.
+func (g *Digraph) VisitElementaryCycles(ctx context.Context, limit int, visit func(cycle []int)) error {
 	if limit <= 0 {
 		limit = DefaultCycleLimit
+	}
+	steps := 0
+	// stopped reports ctx's error on every pollEvery-th step: a step of the
+	// walk costs nanoseconds, a poll tens of them.
+	stopped := func() error {
+		steps++
+		if steps%pollEvery != 0 {
+			return nil
+		}
+		return ctx.Err()
 	}
 	n := g.n
 	// Reverse adjacency in CSR form: the predecessors of v are
@@ -103,6 +121,9 @@ func (g *Digraph) VisitElementaryCycles(limit int, visit func(cycle []int)) erro
 	}
 
 	for s := 0; s < n; s++ {
+		if err := stopped(); err != nil {
+			return err
+		}
 		reached, in := 2*s+1, 2*s+2
 		// Forward reach from s over the vertices >= s.
 		mark[s] = reached
@@ -149,6 +170,9 @@ func (g *Digraph) VisitElementaryCycles(limit int, visit func(cycle []int)) erro
 		stack = append(stack[:0], s)
 		blocked[s] = true
 		for len(frames) > 0 {
+			if err := stopped(); err != nil {
+				return err
+			}
 			f := &frames[len(frames)-1]
 			adj := g.adj[f.v]
 			if f.next < len(adj) {
@@ -201,7 +225,7 @@ func (g *Digraph) VisitElementaryCycles(limit int, visit func(cycle []int)) erro
 // way. limit <= 0 selects DefaultCycleLimit.
 func (g *Digraph) ElementaryCycles(limit int) ([][]int, error) {
 	var cycles [][]int
-	err := g.VisitElementaryCycles(limit, func(c []int) {
+	err := g.VisitElementaryCycles(context.Background(), limit, func(c []int) {
 		cycles = append(cycles, slices.Clone(c))
 	})
 	sortCycles(cycles)
@@ -226,7 +250,7 @@ func sortCycles(cs [][]int) {
 // marked cycles among the first limit are returned with the error.
 func (g *Digraph) CyclesThroughAny(mark func(v int) bool, limit int) ([][]int, error) {
 	var out [][]int
-	err := g.VisitElementaryCycles(limit, func(c []int) {
+	err := g.VisitElementaryCycles(context.Background(), limit, func(c []int) {
 		if slices.ContainsFunc(c, mark) {
 			out = append(out, slices.Clone(c))
 		}

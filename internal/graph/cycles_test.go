@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -156,7 +157,7 @@ func TestCycleFuzzSeedPaths(t *testing.T) {
 		data := readFuzzSeed(t, filepath.Join("testdata", "fuzz", "FuzzElementaryCyclesEquivalence", name))
 		g, limit, marks := decodeCycleCase(data)
 		var walk [][]int
-		if err := g.VisitElementaryCycles(0, func(c []int) {
+		if err := g.VisitElementaryCycles(context.Background(), 0, func(c []int) {
 			walk = append(walk, append([]int(nil), c...))
 		}); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -199,7 +200,7 @@ func TestVisitElementaryCyclesOrderAndCap(t *testing.T) {
 		}
 	}
 	var all [][]int
-	if err := g.VisitElementaryCycles(0, func(c []int) {
+	if err := g.VisitElementaryCycles(context.Background(), 0, func(c []int) {
 		all = append(all, append([]int(nil), c...))
 	}); err != nil {
 		t.Fatal(err)
@@ -219,7 +220,7 @@ func TestVisitElementaryCyclesOrderAndCap(t *testing.T) {
 	}
 	for _, limit := range []int{1, 30, 83, 84} {
 		var got [][]int
-		err := g.VisitElementaryCycles(limit, func(c []int) {
+		err := g.VisitElementaryCycles(context.Background(), limit, func(c []int) {
 			got = append(got, append([]int(nil), c...))
 		})
 		if wantErr := limit < len(all); errors.Is(err, ErrCycleLimit) != wantErr {
@@ -228,5 +229,29 @@ func TestVisitElementaryCyclesOrderAndCap(t *testing.T) {
 		if !reflect.DeepEqual(got, all[:limit]) {
 			t.Fatalf("limit %d: visited %v, want the walk's first %d cycles", limit, got, limit)
 		}
+	}
+}
+
+// TestVisitElementaryCyclesStopsWhenDone: a done context ends the walk with
+// its error within pollEvery steps, long before the cap. K12 has far more
+// elementary cycles than DefaultCycleLimit.
+func TestVisitElementaryCyclesStopsWhenDone(t *testing.T) {
+	g := New(12)
+	for u := 0; u < 12; u++ {
+		for v := 0; v < 12; v++ {
+			if u != v {
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	visited := 0
+	err := g.VisitElementaryCycles(ctx, 0, func([]int) { visited++ })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if visited >= pollEvery {
+		t.Fatalf("visited %d cycles after the context was done, want fewer than %d", visited, pollEvery)
 	}
 }

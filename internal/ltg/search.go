@@ -1,6 +1,7 @@
 package ltg
 
 import (
+	"context"
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
@@ -111,6 +112,18 @@ func (l *LTG) subsetKey(subset []core.LocalTransition, buf *[]byte) string {
 // number of subsets examined. memo may be nil; the witness, iteration order
 // and return values are identical with or without it.
 func (l *LTG) FindTrailSubset(tarcs []core.LocalTransition, mustInclude int, memo *Memo) (*TrailWitness, int) {
+	w, checked, _ := l.findTrailSubset(context.Background(), tarcs, mustInclude, memo)
+	return w, checked
+}
+
+// pollEvery is how many subsets the exact search examines between two polls
+// of its context: a subset holds at most CheckOptions.MaxTArcs t-arcs, so
+// each one is cheap.
+const pollEvery = 256
+
+// findTrailSubset is FindTrailSubset that gives up with ctx's error once
+// ctx is done.
+func (l *LTG) findTrailSubset(ctx context.Context, tarcs []core.LocalTransition, mustInclude int, memo *Memo) (*TrailWitness, int, error) {
 	checked := 0
 	var buf []byte
 	eval := func(mask int) *TrailWitness {
@@ -144,13 +157,22 @@ func (l *LTG) FindTrailSubset(tarcs []core.LocalTransition, mustInclude int, mem
 		return w
 	}
 
+	stopped := func() error {
+		if checked%pollEvery != 0 {
+			return nil
+		}
+		return ctx.Err()
+	}
 	if mustInclude < 0 {
 		for mask := 1; mask < 1<<len(tarcs); mask++ {
+			if err := stopped(); err != nil {
+				return nil, checked, err
+			}
 			if w := eval(mask); w != nil {
-				return w, checked
+				return w, checked, nil
 			}
 		}
-		return nil, checked
+		return nil, checked, nil
 	}
 	// Enumerate exactly the masks containing bit mustInclude by inserting that
 	// bit into every (len-1)-bit pattern; the map sub -> mask is strictly
@@ -159,9 +181,12 @@ func (l *LTG) FindTrailSubset(tarcs []core.LocalTransition, mustInclude int, mem
 		low := sub & (1<<mustInclude - 1)
 		high := sub >> mustInclude
 		mask := high<<(mustInclude+1) | 1<<mustInclude | low
+		if err := stopped(); err != nil {
+			return nil, checked, err
+		}
 		if w := eval(mask); w != nil {
-			return w, checked
+			return w, checked, nil
 		}
 	}
-	return nil, checked
+	return nil, checked, nil
 }

@@ -1,6 +1,7 @@
 package ltg
 
 import (
+	"context"
 	"fmt"
 
 	"paramring/internal/core"
@@ -105,6 +106,13 @@ type CheckOptions struct {
 // protocol therefore apply to the transformed protocol only; use
 // CheckLivelockFreedomTransformed when that is what you want.
 func CheckLivelockFreedom(p *core.Protocol, opts CheckOptions) (Report, error) {
+	return CheckLivelockFreedomCtx(context.Background(), p, opts)
+}
+
+// CheckLivelockFreedomCtx is CheckLivelockFreedom that gives up with
+// ctx's error once ctx is done: the coarse check polls ctx before every
+// t-arc, the exact search every pollEvery subsets.
+func CheckLivelockFreedomCtx(ctx context.Context, p *core.Protocol, opts CheckOptions) (Report, error) {
 	if opts.MaxTArcs <= 0 {
 		opts.MaxTArcs = 16
 	}
@@ -136,14 +144,17 @@ func CheckLivelockFreedom(p *core.Protocol, opts CheckOptions) (Report, error) {
 	}
 
 	if len(tarcs) > opts.MaxTArcs {
-		return l.coarseCheck(rep, tarcs)
+		return l.coarseCheck(ctx, rep, tarcs)
 	}
 
 	// Exact subset search: a trail's t-arc set is some subset S'. For each
 	// subset that forms a pseudo-livelock, test whether every t-arc of S'
 	// can participate in a closed composite walk and whether the trail
 	// visits an illegitimate state.
-	w, checked := l.FindTrailSubset(tarcs, -1, memo)
+	w, checked, err := l.findTrailSubset(ctx, tarcs, -1, memo)
+	if err != nil {
+		return rep, err
+	}
 	rep.SubsetsChecked = checked
 	if w != nil {
 		rep.Verdict = VerdictPotentialLivelock
@@ -326,8 +337,9 @@ func (l *LTG) sRunEndpoints(start int, sources []bool, sArcs *graph.Digraph) []i
 //
 // When all three hold the coarse check cannot decide and returns Unknown.
 // all is the t-arc set under scrutiny (usually l's compiled transitions, but
-// an overlay works the same way).
-func (l *LTG) coarseCheck(rep Report, all []core.LocalTransition) (Report, error) {
+// an overlay works the same way). ctx is polled before every t-arc's s-run
+// search, which can visit every local state.
+func (l *LTG) coarseCheck(ctx context.Context, rep Report, all []core.LocalTransition) (Report, error) {
 	sys := l.sys
 	rep.SubsetsChecked = 1
 	if !HasPseudoLivelockSubset(sys, all) {
@@ -354,6 +366,9 @@ func (l *LTG) coarseCheck(rep Report, all []core.LocalTransition) (Report, error
 	comp := graph.New(sys.N())
 	sArcs := l.r.Graph()
 	for _, t := range all {
+		if err := ctx.Err(); err != nil {
+			return rep, err
+		}
 		for _, v := range l.sRunEndpoints(int(t.Dst), sources, sArcs) {
 			comp.AddEdge(int(t.Src), v)
 		}

@@ -1,6 +1,7 @@
 package rcg
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
@@ -149,7 +150,10 @@ func TestBadCycleLengthsMatchesCheckDeadlockFreedom(t *testing.T) {
 		if err != nil {
 			capped++
 		}
-		free, lengths := r.BadCycleLengths(256)
+		free, lengths, err := r.BadCycleLengths(context.Background(), 256)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
 		if want := rep.SortedBadCycleLengths(); free != rep.Free || !slices.Equal(lengths, want) {
 			t.Fatalf("%s: BadCycleLengths = (%v, %v), CheckDeadlockFreedom: free %v, lengths %v",
 				sp.Name, free, lengths, rep.Free, want)

@@ -13,6 +13,8 @@
 package rcg
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -194,26 +196,29 @@ func (r *RCG) illegitimate(v int) bool { return !r.sys.Legit[v] }
 // order: exactly CheckDeadlockFreedom(cycleLimit)'s Free and
 // SortedBadCycleLengths, from one walk that copies no cycle. The cap is part
 // of the definition (see DeadlockReport.BadCycles), so reaching it is no
-// error: the verdict needs only SCCs.
-func (r *RCG) BadCycleLengths(cycleLimit int) (free bool, lengths []int) {
+// error: the verdict needs only SCCs. The only error is ctx's, once ctx is
+// done during the walk.
+func (r *RCG) BadCycleLengths(ctx context.Context, cycleLimit int) (free bool, lengths []int, err error) {
 	dg := r.DeadlockGraph()
 	if !dg.HasCycleThroughAny(r.illegitimate) {
-		return true, nil
+		return true, nil, nil
 	}
 	seen := make([]bool, dg.N()+1)
-	// The only error is the cap, which ends the walk where the definition
-	// stops.
-	_ = dg.VisitElementaryCycles(cycleLimit, func(c []int) {
+	err = dg.VisitElementaryCycles(ctx, cycleLimit, func(c []int) {
 		if !seen[len(c)] && slices.ContainsFunc(c, r.illegitimate) {
 			seen[len(c)] = true
 		}
 	})
+	// The cap ends the walk where the definition stops.
+	if err != nil && !errors.Is(err, graph.ErrCycleLimit) {
+		return false, nil, err
+	}
 	for l, ok := range seen {
 		if ok {
 			lengths = append(lengths, l)
 		}
 	}
-	return false, lengths
+	return false, lengths, nil
 }
 
 // UnrollCycle converts an RCG cycle over local deadlocks into a concrete

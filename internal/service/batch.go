@@ -11,9 +11,12 @@ import (
 const (
 	// maxBatchSpecs bounds the specs in one batch submission.
 	maxBatchSpecs = 256
-	// maxRetainedBatches bounds the batch index; past it the oldest
+	// maxRetainedBatches bounds the batch index; past it, or once the
+	// retained batches hold more than maxRetainedJobs items, the oldest
 	// batches are forgotten (their jobs live on under the usual job
-	// retention).
+	// retention). A batch keeps its jobs and their results alive, so the
+	// item bound keeps batches from pinning more jobs than the job index
+	// retains. The newest batch is always kept.
 	maxRetainedBatches = 256
 )
 
@@ -86,6 +89,7 @@ type batchState struct {
 	nextID uint64
 	byID   map[string]*batch
 	order  []string
+	items  int // summed len(jobs) of the retained batches
 }
 
 func (bs *batchState) put(b *batch) {
@@ -96,7 +100,9 @@ func (bs *batchState) put(b *batch) {
 	}
 	bs.byID[b.id] = b
 	bs.order = append(bs.order, b.id)
-	for len(bs.order) > maxRetainedBatches {
+	bs.items += len(b.jobs)
+	for len(bs.order) > 1 && (len(bs.order) > maxRetainedBatches || bs.items > maxRetainedJobs) {
+		bs.items -= len(bs.byID[bs.order[0]].jobs)
 		delete(bs.byID, bs.order[0])
 		bs.order = bs.order[1:]
 	}

@@ -268,3 +268,39 @@ func FuzzVerifyBatchHandler(f *testing.F) {
 		}
 	})
 }
+
+// TestBatchesBoundedByItems: once the retained batches hold more than
+// maxRetainedJobs items, the oldest batch is forgotten (404) and the newest
+// still renders.
+func TestBatchesBoundedByItems(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 1}, true)
+	j, err := svc.Submit(Request{Spec: tinySpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	specs := make([]string, maxBatchSpecs)
+	for i := range specs {
+		specs[i] = tinySpec
+	}
+	var ids []string
+	for items := 0; items <= maxRetainedJobs; items += len(specs) {
+		b, err := svc.SubmitBatch(BatchRequest{Specs: specs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, b.id)
+	}
+	h := svc.Handler()
+	if rec := get(h, "/v1/verify/batch/"+ids[0]); rec.Code != http.StatusNotFound {
+		t.Fatalf("oldest of %d batches: status %d, want 404", len(ids), rec.Code)
+	}
+	rec := get(h, "/v1/verify/batch/"+ids[len(ids)-1])
+	var view BatchView
+	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("newest batch: status %d, %v", rec.Code, err)
+	}
+	if view.Total != len(specs) || view.Done != len(specs) {
+		t.Fatalf("newest batch renders %d of %d done", view.Done, view.Total)
+	}
+}

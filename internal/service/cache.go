@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 )
 
@@ -19,15 +20,23 @@ import (
 // never fragment it.
 func cacheKey(canonicalSpec string, opts RequestOptions) string {
 	o := opts.Normalize()
-	h := sha256.New()
-	h.Write([]byte(canonicalSpec))
-	h.Write([]byte{0})
+	// The hashed bytes are built in one buffer, on the stack for specs of
+	// ordinary size, and hashed with one Sum256: every submission, cache
+	// hits included, computes a key.
+	var stack [1024]byte
+	b := append(append(stack[:0], canonicalSpec...), 0)
 	// Invariant changes the lane set and therefore the result payload, so
 	// it must fragment the cache: an invariant-on and an invariant-off
 	// submission of the same spec may never collide on one entry.
-	fmt.Fprintf(h, "confirm=%d xval=%d fallback=%d tarcs=%d inv=%t",
-		o.ConfirmMaxK, o.CrossValidateMaxK, o.BoundedFallbackMaxK, o.MaxTArcs, o.Invariant)
-	return hex.EncodeToString(h.Sum(nil))
+	b = strconv.AppendInt(append(b, "confirm="...), int64(o.ConfirmMaxK), 10)
+	b = strconv.AppendInt(append(b, " xval="...), int64(o.CrossValidateMaxK), 10)
+	b = strconv.AppendInt(append(b, " fallback="...), int64(o.BoundedFallbackMaxK), 10)
+	b = strconv.AppendInt(append(b, " tarcs="...), int64(o.MaxTArcs), 10)
+	b = strconv.AppendBool(append(b, " inv="...), o.Invariant)
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
 
 // resultCache is a size-bounded in-memory LRU of verification results,

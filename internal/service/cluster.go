@@ -201,8 +201,7 @@ func (s *Service) recoverLease(j *Job, workerID string, expiry time.Time) {
 	j.state = StateRunning
 	j.attempts = 1
 	j.started = time.Now()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.indexLocked(j)
 	s.metrics.JobsReplayed.Add(1)
 	s.metrics.JobsRunning.Add(1)
 	s.coord.Recover(s.taskForJob(j, 1), workerID, expiry, s.leaseDone(j, nil))

@@ -21,7 +21,7 @@ import (
 )
 
 // specsDir locates the repository's specs/ directory from the test binary.
-func specsDir(t *testing.T) string {
+func specsDir(t testing.TB) string {
 	t.Helper()
 	dir, err := os.Getwd()
 	if err != nil {

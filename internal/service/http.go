@@ -3,7 +3,9 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"sync"
 
 	"paramring/internal/cluster"
 )
@@ -42,11 +44,108 @@ func (s *Service) Handler() http.Handler {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	jsonWriters.Get().(*jsonWriter).write(w, status, v)
+}
+
+// maxPooledBytes bounds the bodies whose encoder or decoder buffers are
+// kept for reuse; a job view, an error or a request body is far smaller.
+const maxPooledBytes = 64 << 10
+
+// jsonWriter is an indenting json.Encoder that writes to whichever writer
+// w holds. The Encoder keeps its indent buffer between calls, so a pooled
+// one renders an answer without allocating a new one each time; view
+// holds a job view while it is encoded, so the view is not copied to the
+// heap either.
+type jsonWriter struct {
+	w    io.Writer
+	n    int // bytes of the last write
+	enc  *json.Encoder
+	view JobView
+}
+
+func (jw *jsonWriter) Write(p []byte) (int, error) {
+	jw.n = len(p)
+	return jw.w.Write(p)
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := &jsonWriter{}
+	jw.enc = json.NewEncoder(jw)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
+// write answers with v as indented JSON and returns jw to the pool.
+func (jw *jsonWriter) write(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	jw.w = w
+	err := jw.enc.Encode(v)
+	jw.w, jw.view = nil, JobView{}
+	// A failed write stays with the encoder, and a large answer would pin
+	// its indent buffer: neither goes back to the pool.
+	if err == nil && jw.n <= maxPooledBytes {
+		jsonWriters.Put(jw)
+	}
+}
+
+// writeJob answers with a snapshot of j: 200 once j is terminal, status
+// pending while it is queued or running.
+func (s *Service) writeJob(w http.ResponseWriter, j *Job, pending int) {
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.view = s.Snapshot(j)
+	status := pending
+	if st := jw.view.State; st == StateDone || st == StateFailed || st == StateQuarantined {
+		status = http.StatusOK
+	}
+	jw.write(w, status, &jw.view)
+}
+
+// requestDecoder is a json.Decoder with DisallowUnknownFields that reads
+// whichever body it holds into req. The Decoder keeps its read buffer
+// between requests, so a pooled one decodes a body without growing a new
+// buffer each time.
+type requestDecoder struct {
+	body io.Reader
+	read int64 // bytes read from body
+	dec  *json.Decoder
+	req  Request
+}
+
+func (d *requestDecoder) Read(p []byte) (int, error) {
+	n, err := d.body.Read(p)
+	d.read += int64(n)
+	return n, err
+}
+
+var requestDecoders = sync.Pool{New: func() any {
+	d := &requestDecoder{}
+	d.dec = json.NewDecoder(d)
+	d.dec.DisallowUnknownFields()
+	return d
+}}
+
+// decodeRequest decodes the first JSON value of r's body as
+// json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)) with
+// DisallowUnknownFields would: the same Request, the same errors, the
+// same bytes read, and anything after the value ignored.
+func decodeRequest(w http.ResponseWriter, r *http.Request) (Request, error) {
+	d := requestDecoders.Get().(*requestDecoder)
+	d.body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	d.read = 0
+	start := d.dec.InputOffset()
+	err := d.dec.Decode(&d.req)
+	req := d.req
+	d.body, d.req = nil, Request{}
+	// A decoder is reused only when it ended clean: an error reading or
+	// scanning stays with it, bytes it read past the value would be taken
+	// for the next body's, and a large body would pin its buffer. A reused
+	// buffer starts empty and grows as a new one would, so it reaches
+	// past maxRequestBytes exactly when a new one does.
+	if err == nil && d.dec.InputOffset()-start == d.read && d.read <= maxPooledBytes {
+		requestDecoders.Put(d)
+	}
+	return req, err
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -59,10 +158,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 const backpressureRetryAfter = "1"
 
 func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -87,18 +184,19 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Wait {
 		// The job deadline bounds this (jobs always reach a terminal
-		// state); a vanished client just stops watching.
+		// state); a vanished client just stops watching. A cache hit is
+		// done already, and the request context makes its done channel on
+		// first use, so it is asked for only when there is a wait.
 		select {
 		case <-j.Done():
-		case <-r.Context().Done():
+		default:
+			select {
+			case <-j.Done():
+			case <-r.Context().Done():
+			}
 		}
 	}
-	view := s.Snapshot(j)
-	status := http.StatusAccepted
-	if view.State == StateDone || view.State == StateFailed || view.State == StateQuarantined {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, view)
+	s.writeJob(w, j, http.StatusAccepted)
 }
 
 // maxBatchRequestBytes bounds a batch POST body: maxBatchSpecs specs of
@@ -153,7 +251,7 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("unknown job id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.Snapshot(j))
+	s.writeJob(w, j, http.StatusOK)
 }
 
 func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {

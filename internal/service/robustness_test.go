@@ -376,3 +376,28 @@ func TestCacheWriteErrorSurfaced(t *testing.T) {
 		t.Fatalf("memory tier lost the result: %+v", v)
 	}
 }
+
+// wideWindowSpec is a 94-byte spec whose local state space (3^10 states)
+// sends Theorem 5.14 into its coarse check with about 39,000 t-arcs, each
+// searching the whole space: 34 s of work when the search ignores the job
+// deadline.
+const wideWindowSpec = "protocol p3\ndomain 3\nwindow -9 0\nlegit x[-1] == x[0]\naction f: x[-1] != x[0] -> x[0] := x[-1]\n"
+
+// TestTheoremLanesHonourDeadline: the theorem lanes stop at the job
+// deadline, so a spec whose trail search outlasts it fails with the
+// deadline error, as the explicit lanes' jobs do.
+func TestTheoremLanesHonourDeadline(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 1, MaxTimeout: time.Second}, true)
+	j, err := svc.Submit(Request{Spec: wideWindowSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(3 * time.Second):
+		t.Fatalf("job still %s 3 s after submission under a 1 s deadline", svc.Snapshot(j).State)
+	}
+	if v := svc.Snapshot(j); v.State != StateFailed || !strings.Contains(v.Error, "deadline exceeded") {
+		t.Fatalf("state %s, error %q; want failed with the deadline error", v.State, v.Error)
+	}
+}

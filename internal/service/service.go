@@ -233,11 +233,26 @@ type Service struct {
 	cacheErrSeen map[string]bool        // distinct cache write errors already logged
 }
 
-// maxRetainedJobs bounds the id -> job index: once exceeded, the oldest
-// terminal jobs are forgotten (their results live on in the cache, their
-// quarantine records in the journal). Live jobs are never evicted — they
-// are bounded by queue size + workers.
-const maxRetainedJobs = 4096
+// maxRetainedJobs bounds the id -> job index: once it is reached, the
+// oldest terminal jobs are forgotten down to evictDownTo (their results
+// live on in the cache, their quarantine records in the journal), one
+// batch per maxRetainedJobs - evictDownTo submissions. The newest
+// keptNewestJobs jobs are always kept, and live jobs are never evicted —
+// they are bounded by queue size + workers.
+const (
+	maxRetainedJobs = 4096
+	evictDownTo     = maxRetainedJobs * 3 / 4
+	keptNewestJobs  = maxRetainedJobs - evictDownTo
+)
+
+// closedDone is the done channel of every job answered from the cache at
+// submission: such a job is terminal from the start, so it shares one
+// closed channel instead of making and closing its own.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // maxLoggedCacheErrors bounds the once-per-distinct-error log dedup map;
 // past it new distinct errors are still counted, just not logged.
@@ -330,8 +345,7 @@ func (s *Service) replay(st replayState) error {
 		j.finished = time.Now()
 		j.doneClosed = true
 		close(j.done)
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
+		s.indexLocked(j)
 	}
 	for _, rec := range st.pending {
 		j := s.jobFromRecord(rec)
@@ -354,8 +368,7 @@ func (s *Service) replay(st replayState) error {
 			j.finished = time.Now()
 			j.doneClosed = true
 			close(j.done)
-			s.jobs[j.id] = j
-			s.order = append(s.order, j.id)
+			s.indexLocked(j)
 			s.journalDone(j.id)
 			continue
 		}
@@ -375,8 +388,7 @@ func (s *Service) replay(st replayState) error {
 		}
 		s.metrics.JobsReplayed.Add(1)
 		j.state = StateQueued
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
+		s.indexLocked(j)
 		s.queue <- j // sized for all pending records in New
 		s.metrics.JobsQueued.Add(1)
 	}
@@ -565,7 +577,6 @@ func (s *Service) admit(req Request) (*Job, error) {
 		estimate:  estimate,
 		degraded:  degraded,
 		compileNS: compileNS,
-		done:      make(chan struct{}),
 	}
 
 	if res, ok := s.cache.Get(key); ok {
@@ -577,14 +588,15 @@ func (s *Service) admit(req Request) (*Job, error) {
 		j.cached = true
 		j.result = res
 		j.finished = time.Now()
+		j.done = closedDone
 		j.doneClosed = true
-		s.jobs[j.id] = j
+		s.indexLocked(j)
 		s.mu.Unlock()
-		close(j.done)
 		s.metrics.ObservePhase("total", time.Since(t0))
 		return j, nil
 	}
 	s.metrics.CacheMisses.Add(1)
+	j.done = make(chan struct{})
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -593,7 +605,7 @@ func (s *Service) admit(req Request) (*Job, error) {
 	}
 	j.id = s.newIDLocked()
 	j.state = StateQueued
-	s.jobs[j.id] = j
+	s.indexLocked(j)
 	return j, nil
 }
 
@@ -630,40 +642,51 @@ func (s *Service) journalResult(err error, recs []journalRecord) bool {
 
 func (s *Service) newIDLocked() string {
 	s.nextID++
-	id := fmt.Sprintf("job-%06d", s.nextID)
-	s.order = append(s.order, id)
-	if len(s.jobs) >= maxRetainedJobs {
-		s.evictTerminalLocked()
-	}
-	return id
+	return fmt.Sprintf("job-%06d", s.nextID)
 }
 
-// evictTerminalLocked drops the oldest finished jobs until the index is
-// back under the retention bound — done/failed first, quarantined only if
+// indexLocked stores j under its id and appends the id to s.order, the
+// two together, so every indexed job can be listed and evicted. Once the
+// index reaches maxRetainedJobs ids it evicts a batch of them.
+func (s *Service) indexLocked(j *Job) {
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	if len(s.order) >= maxRetainedJobs {
+		s.evictTerminalLocked()
+	}
+}
+
+// evictTerminalLocked drops the oldest finished jobs until the index holds
+// at most evictDownTo of them — done/failed first, quarantined only if
 // that is not enough (the poison ledger is the part operators come back
-// for, and it survives in the journal regardless).
+// for, and it survives in the journal regardless). The newest
+// keptNewestJobs ids are never evicted, and neither is a live job. Ids of
+// jobs no longer indexed (refused submissions) are dropped on the way.
 func (s *Service) evictTerminalLocked() {
+	old := s.order[:len(s.order)-keptNewestJobs]
+	newest := s.order[len(old):]
 	for _, evictable := range []func(*Job) bool{
 		func(j *Job) bool { return j.state == StateDone || j.state == StateFailed },
 		func(j *Job) bool { return j.state == StateQuarantined },
 	} {
-		kept := s.order[:0]
-		for _, id := range s.order {
+		kept := old[:0]
+		for _, id := range old {
 			j, ok := s.jobs[id]
 			if !ok {
 				continue
 			}
-			if len(s.jobs) >= maxRetainedJobs && evictable(j) {
+			if len(s.jobs) > evictDownTo && evictable(j) {
 				delete(s.jobs, id)
 				continue
 			}
 			kept = append(kept, id)
 		}
-		s.order = kept
-		if len(s.jobs) < maxRetainedJobs {
-			return
+		old = kept
+		if len(s.jobs) <= evictDownTo {
+			break
 		}
 	}
+	s.order = append(old, newest...)
 }
 
 // beforeVerify is the BeforeVerify hook site every in-process attempt runs

@@ -2,9 +2,12 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"log"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -216,5 +219,78 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	waitDone(t, j2)
 	if v2 := svc2.Snapshot(j2); !v2.Cached {
 		t.Fatalf("restarted service missed the disk cache: %+v", v2)
+	}
+}
+
+// get answers one GET through h.
+func get(h http.Handler, path string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	return rec
+}
+
+// TestJobIndexBounded: past maxRetainedJobs submissions the index stays
+// bounded, the newest job is listed and served, the oldest done job
+// answers 404, and a quarantined job outlives the done jobs evicted around
+// it.
+func TestJobIndexBounded(t *testing.T) {
+	poison := numberedSpec(1)
+	hooks := &Hooks{BeforeVerify: func(id string, attempt int) error {
+		if id == "job-000001" {
+			panic("poison pill")
+		}
+		return nil
+	}}
+	svc := newTestService(t, Config{Workers: 1, MaxAttempts: 1, Hooks: hooks}, true)
+	quarantined, err := svc.Submit(Request{Spec: poison})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, quarantined)
+	first, err := svc.Submit(Request{Spec: tinySpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, first)
+
+	const n = 5000
+	var ids []string
+	for i := 0; i < n; i++ {
+		j, err := svc.Submit(Request{Spec: tinySpec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !j.cached {
+			t.Fatalf("submission %d was not a cache hit", i)
+		}
+		ids = append(ids, j.ID())
+		svc.mu.Lock()
+		jobs, order := len(svc.jobs), len(svc.order)
+		svc.mu.Unlock()
+		if jobs > maxRetainedJobs || order > maxRetainedJobs {
+			t.Fatalf("after %d submissions the index holds %d jobs and %d ids, bound %d", i+1, jobs, order, maxRetainedJobs)
+		}
+	}
+
+	h := svc.Handler()
+	rec := get(h, "/v1/jobs")
+	var list struct{ Jobs []JobView }
+	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
+		t.Fatal(err)
+	}
+	newest := ids[len(ids)-1]
+	if len(list.Jobs) == 0 || list.Jobs[len(list.Jobs)-1].ID != newest {
+		t.Fatalf("GET /v1/jobs lists %d jobs, not ending with the newest, %s", len(list.Jobs), newest)
+	}
+	for _, id := range ids[len(ids)-keptNewestJobs:] {
+		if rec := get(h, "/v1/jobs/"+id); rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/jobs/%s (among the newest %d) = %d", id, keptNewestJobs, rec.Code)
+		}
+	}
+	if rec := get(h, "/v1/jobs/"+first.ID()); rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /v1/jobs/%s (the oldest done job) = %d, want 404", first.ID(), rec.Code)
+	}
+	if rec := get(h, "/v1/jobs/"+quarantined.ID()); rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/jobs/%s (quarantined) = %d, want 200: done jobs go first", quarantined.ID(), rec.Code)
 	}
 }

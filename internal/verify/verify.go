@@ -243,9 +243,10 @@ func Check(p *core.Protocol, opts Options) (*Report, error) {
 }
 
 // CheckCtx is Check with cooperative cancellation: ctx is polled at phase
-// boundaries and threaded into every explicit-engine call (instance
-// construction, state scans, Tarjan), so a deadline or cancel aborts the
-// pipeline with ctx.Err() instead of running the state spaces to completion.
+// boundaries and threaded into the Theorem 4.2 cycle walk, the Theorem 5.14
+// trail search and every explicit-engine call (instance construction, state
+// scans, Tarjan), so a deadline or cancel aborts the pipeline with ctx.Err()
+// instead of running the searches and state spaces to completion.
 func CheckCtx(ctx context.Context, p *core.Protocol, opts Options) (*Report, error) {
 	if opts.ConfirmMaxK <= 0 {
 		opts.ConfirmMaxK = 7
@@ -282,7 +283,10 @@ func CheckCtx(ctx context.Context, p *core.Protocol, opts Options) (*Report, err
 	// the Free verdict is SCC-based and remains valid when witness
 	// enumeration hits the limit. witnessLens are the distinct lengths of
 	// the illegitimate cycles among the first 256 enumerated.
-	free, witnessLens := rcg.Build(sys).BadCycleLengths(256)
+	free, witnessLens, err := rcg.Build(sys).BadCycleLengths(ctx, 256)
+	if err != nil {
+		return nil, err
+	}
 	if free {
 		rep.Deadlock = Proved
 	} else {
@@ -298,8 +302,11 @@ func CheckCtx(ctx context.Context, p *core.Protocol, opts Options) (*Report, err
 	}
 
 	// Theorem 5.14.
-	ll, err := ltg.CheckLivelockFreedom(p, opts.Check)
+	ll, err := ltg.CheckLivelockFreedomCtx(ctx, p, opts.Check)
 	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
 		rep.LivelockSkipped = err.Error()
 		rep.Livelock = Inconclusive
 	} else {
