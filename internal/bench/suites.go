@@ -157,6 +157,30 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 			"peak_table_bytes": float64(verify.EstimatePeakTableBytes(cp, coldOpts)),
 		})
 
+		// The explicit engine alone on the same shape: CheckRings over
+		// K = 2..6 with the livelock question on and one worker, the
+		// cross-validation of the verify/check rows without the theorems.
+		// The tables-rebuilt row empties the process-wide orbit-table cache
+		// before every call, so the pair is the cache's ablation.
+		rings := func() {
+			if _, err := explicit.CheckRings(context.Background(), cp, 6, true, explicit.WithWorkers(1)); err != nil {
+				panic(err)
+			}
+		}
+		s.Add(fmt.Sprintf("explicit/rings/cold-d4-%d", pct), Measure(cfg.Benchtime, func(n int) {
+			for i := 0; i < n; i++ {
+				rings()
+			}
+		}), map[string]float64{"states": 16 + 64 + 256 + 1024 + 4096})
+		if pct == 40 {
+			s.Add("explicit/rings/cold-d4-40/tables-rebuilt", Measure(cfg.Benchtime, func(n int) {
+				for i := 0; i < n; i++ {
+					explicit.DropOrbitTables()
+					rings()
+				}
+			}), nil)
+		}
+
 		// Theorem 4.2 alone on the same shape: the verify path's call,
 		// which keeps only the distinct bad-cycle lengths, and (at 40%)
 		// lrverify's report, which copies and sorts up to 256 witness
@@ -178,6 +202,27 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 			}), map[string]float64{"bad_cycles": float64(len(dl.BadCycles))})
 		}
 	}
+
+	// Witness confirmation of a spurious trail: the paper's rejected
+	// sum-not-two actions {t21, t10, t02} over domain 6. Theorem 5.14 finds
+	// a trail that no ring realizes, so confirmation searches every ring
+	// size up to the default bound of 7, 6^K states each, on one worker.
+	sp, err := dsl.Parse(sntWideSpec)
+	if err != nil {
+		return nil, err
+	}
+	trail, err := ltg.CheckLivelockFreedom(sp, ltg.CheckOptions{})
+	if err != nil || trail.Witness == nil {
+		return nil, fmt.Errorf("bench: sntwide-d6 lost its trail: %v", err)
+	}
+	s.Add("ltg/confirm/sntwide-d6", Measure(cfg.Benchtime, func(n int) {
+		for i := 0; i < n; i++ {
+			conf, err := ltg.ConfirmWitnessCtx(context.Background(), sp, trail.Witness, 7, explicit.WithWorkers(1))
+			if err != nil || conf.Confirmed {
+				panic(fmt.Sprint("sntwide-d6 confirmation changed: ", conf, err))
+			}
+		}
+	}), map[string]float64{"max_k": 7})
 
 	// Invariant lane: cold symbolic analysis (traps + deadlock ranking +
 	// termination LP, parameterized in K) and the independent certificate
@@ -363,6 +408,17 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 // scanSink keeps the scan-loop sweep results observable so the measured
 // loops cannot be optimized away.
 var scanSink uint64
+
+// sntWideSpec is the paper's rejected sum-not-two action set over domain
+// 6.
+const sntWideSpec = `protocol sntwide
+domain 6
+window -1 0
+legit x[0] + x[-1] != 2
+action t21: x[-1] == 0 && x[0] == 2 -> x[0] := 1
+action t10: x[-1] == 1 && x[0] == 1 -> x[0] := 0
+action t02: x[-1] == 2 && x[0] == 0 -> x[0] := 2
+`
 
 // coldSpec returns the first member of a fixed d=4 window [-1,0] sweep
 // family with the given move percentage.

@@ -27,6 +27,10 @@ func TestVerifySuiteSmoke(t *testing.T) {
 		"theorem42/lengths/cold-d4-40",
 		"theorem42/lengths/cold-d4-70",
 		"theorem42/cycles/cold-d4-40",
+		"explicit/rings/cold-d4-40",
+		"explicit/rings/cold-d4-70",
+		"explicit/rings/cold-d4-40/tables-rebuilt",
+		"ltg/confirm/sntwide-d6",
 		"table1/local/sum-not-two",
 		"table1/global/seq/sum-not-two/K=6",
 		"table1/global/par/sum-not-two/K=6",

@@ -55,13 +55,18 @@ func chunkFor(n uint64, workers, w int) (lo, hi uint64) {
 // per worker — chunk w is chunkFor(n, workers, w) — and waits for all of
 // them. With a single worker it runs fn(0, 0, n) inline.
 func (in *Instance) forEachChunk(fn func(w int, lo, hi uint64)) {
-	if in.workers <= 1 || in.n == 0 {
-		fn(0, 0, in.n)
+	in.forEachRange(in.n, fn)
+}
+
+// forEachRange is forEachChunk over [0, n) instead of the state codes.
+func (in *Instance) forEachRange(n uint64, fn func(w int, lo, hi uint64)) {
+	if in.workers <= 1 || n == 0 {
+		fn(0, 0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < in.workers; w++ {
-		lo, hi := chunkFor(in.n, in.workers, w)
+		lo, hi := chunkFor(n, in.workers, w)
 		if lo >= hi {
 			continue
 		}

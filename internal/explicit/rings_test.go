@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"paramring/internal/core"
@@ -72,10 +73,11 @@ func decodeRingCase(data []byte) (p *core.Protocol, maxK, workers int, err error
 // Livelock, States and TableBytes must equal those of a fresh NewInstance
 // with the same worker count — len(IllegitimateDeadlocks()) > 0,
 // FindLivelock() != nil, NumStates() and TableBytes() — and the
-// deadlock-only call must agree on Deadlock. testdata/fuzz holds the
-// committed seeds (a self-loop livelock, a longer cycle, deadlock only,
-// neither, K below the window width, two workers); CI replays them under
-// -race.
+// deadlock-only call must agree on Deadlock, and SmallestLivelockK on the
+// first ring size that livelocks. testdata/fuzz holds the committed seeds
+// (a self-loop livelock, a longer cycle, a cycle through rotations of one
+// state, deadlock only, neither, K below the window width with and
+// without a livelock there, two workers); CI replays them under -race.
 func FuzzCheckRingsEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, maxK, workers, err := decodeRingCase(data)
@@ -93,6 +95,13 @@ func FuzzCheckRingsEquivalence(f *testing.F) {
 		}
 		if len(both) != maxK-1 || len(deadlockOnly) != maxK-1 {
 			t.Fatalf("maxK %d: got %d and %d ring checks", maxK, len(both), len(deadlockOnly))
+		}
+		smallest, err := SmallestLivelockK(ctx, p, maxK, WithWorkers(workers))
+		if err != nil {
+			t.Fatalf("SmallestLivelockK: %v", err)
+		}
+		if i := slices.IndexFunc(both, func(rc RingCheck) bool { return rc.Livelock }); (i < 0 && smallest != 0) || (i >= 0 && smallest != both[i].K) {
+			t.Fatalf("%s workers=%d: SmallestLivelockK %d, CheckRings %+v", p.Name(), workers, smallest, both)
 		}
 		for i, rc := range both {
 			want := instanceRingCheck(p, i+2, workers)
@@ -141,7 +150,7 @@ func TestCheckRingsMatchesInstancesOnSweeps(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2} {
 			for _, budget := range []uint64{parallelEdgeBudget, 200} {
-				got, err := checkRings(ctx, p, maxK, true, budget, []Option{WithWorkers(workers)})
+				got, err := checkRings(ctx, p, maxK, true, false, budget, []Option{WithWorkers(workers)})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -16,6 +16,12 @@ import "fmt"
 //     iterating rho's finite order closes a genuine cycle in the full
 //     graph; the converse projection is immediate.
 //
+// A move changes one position, and a state one position away from a
+// rotation of itself is that rotation, so a quotient self-loop is always a
+// self-loop of the full graph; quotient cycles through several orbits lift
+// through the rotations. CheckRings (rings.go) decides cross-validation's
+// two questions this way, over the orbit tables of orbits.go.
+//
 // Only symmetric instances qualify (no distinguished processes, no global
 // predicate override — a custom predicate need not be rotation-invariant).
 
@@ -23,15 +29,9 @@ import "fmt"
 // among all K rotations.
 func (in *Instance) Canonical(id uint64) uint64 {
 	best := id
-	cur := id
-	for r := 1; r < in.k; r++ {
-		// Rotate by one: process i takes the value of process i+1 (cyclic),
-		// directly on the mixed-radix code.
-		first := cur % uint64(in.d)
-		cur = cur/uint64(in.d) + first*in.po[in.k-1]
-		if cur < best {
-			best = cur
-		}
+	for r, cur := 1, id; r < in.k; r++ {
+		cur = rotate(cur, uint64(in.d), in.po[in.k-1])
+		best = min(best, cur)
 	}
 	return best
 }

@@ -1,6 +1,7 @@
 package ltg
 
 import (
+	"context"
 	"fmt"
 
 	"paramring/internal/core"
@@ -24,14 +25,24 @@ type Confirmation struct {
 	MaxKChecked int
 }
 
-// ConfirmWitness tries to realize a trail witness as a concrete livelock on
-// rings of size 2..maxK: for each size it asks the explicit checker for a
-// livelock of the protocol restricted to the witness's t-arcs. Because
-// Theorem 5.14 is sufficient but not necessary, a witness can be spurious;
-// this function tells the two cases apart (up to the bound).
+// ConfirmWitness is ConfirmWitnessCtx without a deadline, with the
+// explicit engine's default options.
+func ConfirmWitness(p *core.Protocol, w *TrailWitness, maxK int) (Confirmation, error) {
+	return ConfirmWitnessCtx(context.Background(), p, w, maxK)
+}
+
+// ConfirmWitnessCtx tries to realize a trail witness as a concrete livelock
+// on rings of size 2..maxK: it asks the explicit engine for the smallest
+// ring size at which the protocol restricted to the witness's t-arcs
+// livelocks (explicit.SmallestLivelockK, which decides each size on the
+// quotient by rotation), and builds one instance at that size only to
+// return the cycle. Because Theorem 5.14 is sufficient but not necessary,
+// a witness can be spurious; this function tells the two cases apart (up
+// to the bound). opts reach every explicit check (workers, the state
+// guard), and a done ctx ends the search with ctx.Err().
 //
 // maxK <= 0 selects 7.
-func ConfirmWitness(p *core.Protocol, w *TrailWitness, maxK int) (Confirmation, error) {
+func ConfirmWitnessCtx(ctx context.Context, p *core.Protocol, w *TrailWitness, maxK int, opts ...explicit.Option) (Confirmation, error) {
 	if w == nil {
 		return Confirmation{}, fmt.Errorf("ltg: nil witness")
 	}
@@ -70,17 +81,23 @@ func ConfirmWitness(p *core.Protocol, w *TrailWitness, maxK int) (Confirmation, 
 		return conf, fmt.Errorf("ltg: building witness restriction: %w", err)
 	}
 
-	for k := 2; k <= maxK; k++ {
-		in, err := explicit.NewInstance(restricted, k)
-		if err != nil {
-			return conf, err
-		}
-		if cycle := in.FindLivelock(); cycle != nil {
-			conf.Confirmed = true
-			conf.K = k
-			conf.Cycle = cycle
-			return conf, nil
-		}
+	k, err := explicit.SmallestLivelockK(ctx, restricted, maxK, opts...)
+	if err != nil || k == 0 {
+		return conf, err
 	}
+	in, err := explicit.NewInstanceCtx(ctx, restricted, k, opts...)
+	if err != nil {
+		return conf, err
+	}
+	cycle, err := in.FindLivelockCtx(ctx)
+	if err != nil {
+		return conf, err
+	}
+	if cycle == nil {
+		return conf, fmt.Errorf("ltg: K=%d livelocks on the quotient by rotation, but its instance has no livelock", k)
+	}
+	conf.Confirmed = true
+	conf.K = k
+	conf.Cycle = cycle
 	return conf, nil
 }

@@ -1,10 +1,15 @@
 package ltg
 
 import (
+	"context"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"paramring/internal/core"
+	"paramring/internal/explicit"
 	"paramring/internal/protocols"
+	"paramring/internal/protogen"
 )
 
 func TestConfirmWitnessRealLivelock(t *testing.T) {
@@ -83,4 +88,98 @@ func TestConfirmWitnessNil(t *testing.T) {
 	if _, err := ConfirmWitness(protocols.AgreementBoth(), nil, 4); err == nil {
 		t.Fatal("nil witness must error")
 	}
+}
+
+// TestConfirmWitnessMatchesInstances holds ConfirmWitnessCtx, which finds
+// the smallest livelocking K on the quotient by rotation, to the per-K
+// NewInstance + FindLivelock loop it replaced: on random protocols over
+// windows [-1,0], [-2,0] and [-1,1], deterministic and not, with one and
+// two workers, Confirmed, K, Cycle and MaxKChecked must all be equal.
+func TestConfirmWitnessMatchesInstances(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	windows := [][2]int{{-1, 0}, {-2, 0}, {-1, 1}}
+	confirmed, spurious := 0, 0
+	perWindow := map[[2]int]int{}
+	for trial := 0; trial < 300; trial++ {
+		win := windows[trial%len(windows)]
+		p := protogen.Random(rng, protogen.Options{
+			Domain:        2 + trial%2,
+			Lo:            win[0],
+			Hi:            win[1],
+			SelfDisabling: true,
+			MovePercent:   40 + trial%4*15,
+			Nondet:        trial%2 == 1,
+		})
+		rep, err := CheckLivelockFreedom(p, CheckOptions{})
+		if err != nil || rep.Witness == nil {
+			continue
+		}
+		maxK := 6
+		if p.Domain() == 3 && p.W() == 3 {
+			maxK = 5
+		}
+		want, err := referenceConfirm(p, rep.Witness, maxK)
+		if err != nil {
+			t.Fatalf("trial %d: reference: %v", trial, err)
+		}
+		for _, workers := range []int{1, 2} {
+			got, err := ConfirmWitnessCtx(context.Background(), p, rep.Witness, maxK, explicit.WithWorkers(workers))
+			if err != nil {
+				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (%s, window %v) workers %d: %+v, per-K instances %+v", trial, p.Name(), win, workers, got, want)
+			}
+		}
+		if want.Confirmed {
+			confirmed++
+		} else {
+			spurious++
+		}
+		perWindow[win]++
+	}
+	t.Logf("%d confirmed, %d spurious; witnesses per window %v", confirmed, spurious, perWindow)
+	if confirmed < 20 || spurious < 5 || len(perWindow) != len(windows) {
+		t.Fatalf("too few cases to compare: %d confirmed, %d spurious, per window %v", confirmed, spurious, perWindow)
+	}
+}
+
+// referenceConfirm is ConfirmWitness as it was before the quotient sweep:
+// restrict the protocol to the witness's t-arcs and search each ring size
+// in turn with a fresh instance.
+func referenceConfirm(p *core.Protocol, w *TrailWitness, maxK int) (Confirmation, error) {
+	conf := Confirmation{MaxKChecked: maxK}
+	sys := p.Compile()
+	moves := map[core.LocalState][]int{}
+	for _, t := range w.TArcs {
+		nv := sys.OwnValue(t.Dst)
+		dup := false
+		for _, existing := range moves[t.Src] {
+			if existing == nv {
+				dup = true
+			}
+		}
+		if !dup {
+			moves[t.Src] = append(moves[t.Src], nv)
+		}
+	}
+	lo, hi := p.Window()
+	restricted, err := core.NewFromTable(core.Config{
+		Name: p.Name() + "/witness", Domain: p.Domain(), ValueNames: p.ValueNames(),
+		Lo: lo, Hi: hi, Legit: p.LegitimateView,
+	}, []core.TableAction{{Name: "w", Moves: moves}})
+	if err != nil {
+		return conf, err
+	}
+	for k := 2; k <= maxK; k++ {
+		in, err := explicit.NewInstance(restricted, k)
+		if err != nil {
+			return conf, err
+		}
+		if cycle := in.FindLivelock(); cycle != nil {
+			conf.Confirmed, conf.K, conf.Cycle = true, k, cycle
+			return conf, nil
+		}
+	}
+	return conf, nil
 }

@@ -226,7 +226,7 @@ func (m *Metrics) WriteTo(w io.Writer, extraGauges map[string]float64) {
 	counter("lrserved_cache_misses_total", "Verifications that had to run the engine.", m.CacheMisses.Load())
 	counter("lrserved_spec_cache_hits_total", "Submissions whose spec compile was served from the compiled-spec cache.", m.SpecCacheHits.Load())
 	counter("lrserved_spec_cache_misses_total", "Submissions that paid a cold DSL parse+compile.", m.SpecCacheMisses.Load())
-	counter("lrserved_states_explored_total", "Explicit-engine global states enumerated.", m.StatesExplored.Load())
+	counter("lrserved_states_explored_total", "Explicit-engine work: global states of the ring sizes checked (d^K each).", m.StatesExplored.Load())
 	counter("lrserved_invariant_runs_total", "Verifications where the invariant lane ran to completion.", m.InvariantRuns.Load())
 	counter("lrserved_invariant_proved_total", "Livelock verdicts settled by the invariant lane where the theorems were silent.", m.InvariantProved.Load())
 	counter("lrserved_invariant_disagreements_total", "Finished verifications whose report carried cross-lane conflicts (tool-bug alarm).", m.InvariantDisagreements.Load())

@@ -104,7 +104,7 @@ type Result struct {
 	SelfStabilizing      bool     `json:"self_stabilizing"`
 	CrossValidated       []int    `json:"cross_validated,omitempty"`
 	Disagreements        []string `json:"disagreements,omitempty"`
-	ExplicitStates       uint64   `json:"explicit_states"`
+	ExplicitStates       uint64   `json:"explicit_states"` // global states of the ring sizes checked (d^K each)
 	ExplicitPeakBytes    uint64   `json:"explicit_peak_table_bytes,omitempty"`
 	// Invariant-lane projection (all empty/zero unless the request set
 	// options.invariant and the lane ran). Verdicts use the shared

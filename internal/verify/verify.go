@@ -80,10 +80,10 @@ type Options struct {
 	// protocols, where Theorem 5.14 covers contiguous livelocks only).
 	BoundedFallbackMaxK int
 	// Workers sets the explicit-engine worker count used for
-	// cross-validation and the bounded fallback: each ring size's state
-	// sweep is sharded across that many goroutines (0 =
-	// runtime.GOMAXPROCS(0); 1 = sequential). The report is identical for
-	// any worker count.
+	// cross-validation, witness confirmation and the bounded fallback:
+	// each ring size's state sweep is sharded across that many goroutines
+	// (0 = runtime.GOMAXPROCS(0); 1 = sequential). The report is identical
+	// for any worker count.
 	Workers int
 	// MaxStates, when > 0, overrides the explicit engine's state-count
 	// guard (explicit.DefaultMaxStates) for every instance this run
@@ -218,9 +218,11 @@ type Report struct {
 	// an implementation bug exists).
 	Disagreements []string
 
-	// ExplicitStates totals the global states enumerated by the explicit
-	// engine across cross-validation and the bounded fallback (0 when the
-	// verdict came from local reasoning alone). The service layer exports
+	// ExplicitStates totals the global states of the ring sizes checked
+	// (d^K each) by cross-validation and the bounded fallback (0 when the
+	// verdict came from local reasoning alone). It measures the size of the
+	// question, not the states visited: the engine decides both questions
+	// on one representative per rotation orbit. The service layer exports
 	// it as a work metric: a cached verdict re-served must add zero here.
 	ExplicitStates uint64
 	// ExplicitPeakTableBytes is the largest resident per-state table held
@@ -244,9 +246,10 @@ func Check(p *core.Protocol, opts Options) (*Report, error) {
 
 // CheckCtx is Check with cooperative cancellation: ctx is polled at phase
 // boundaries and threaded into the Theorem 4.2 cycle walk, the Theorem 5.14
-// trail search and every explicit-engine call (instance construction, state
-// scans, Tarjan), so a deadline or cancel aborts the pipeline with ctx.Err()
-// instead of running the searches and state spaces to completion.
+// trail search, witness confirmation and every explicit-engine call
+// (instance construction, state scans, Tarjan), so a deadline or cancel
+// aborts the pipeline with ctx.Err() instead of running the searches and
+// state spaces to completion.
 func CheckCtx(ctx context.Context, p *core.Protocol, opts Options) (*Report, error) {
 	if opts.ConfirmMaxK <= 0 {
 		opts.ConfirmMaxK = 7
@@ -316,8 +319,11 @@ func CheckCtx(ctx context.Context, p *core.Protocol, opts Options) (*Report, err
 		case ltg.VerdictFree:
 			rep.Livelock = Proved
 		case ltg.VerdictPotentialLivelock:
-			conf, err := ltg.ConfirmWitness(p, ll.Witness, opts.ConfirmMaxK)
+			conf, err := ltg.ConfirmWitnessCtx(ctx, p, ll.Witness, opts.ConfirmMaxK, engineOpts...)
 			if err != nil {
+				if cerr := ctx.Err(); cerr != nil {
+					return nil, cerr
+				}
 				return nil, fmt.Errorf("verify: %w", err)
 			}
 			if conf.Confirmed {
