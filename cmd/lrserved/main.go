@@ -71,6 +71,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log"
 	"net/http"
 	"net/url"
 	"os"
@@ -79,7 +80,9 @@ import (
 	"time"
 
 	"paramring/internal/cli"
+	"paramring/internal/cluster"
 	"paramring/internal/service"
+	"paramring/internal/verify"
 )
 
 // validateFlags fails fast — before any socket binds or journal opens —
@@ -152,48 +155,41 @@ func validateClusterFlags(coordinator bool, join string, leaseTTL, heartbeat tim
 	return nil
 }
 
-// workerConfig carries the flag subset a -join worker node uses.
-type workerConfig struct {
-	addr, coordinator, id string
-	memBudget             uint64
-	slots                 int
-	specCacheSize         int
-}
-
 // runWorker is the -join main loop: serve the worker's health surface on
-// addr, pull tasks from the coordinator until SIGINT/SIGTERM.
-func runWorker(cfg workerConfig) {
-	node, err := service.NewWorkerNode(service.WorkerNodeConfig{
-		Coordinator:    cfg.coordinator,
-		ID:             cfg.id,
-		MemBudgetBytes: cfg.memBudget,
-		Slots:          cfg.slots,
-		SpecCacheSize:  cfg.specCacheSize,
-	})
-	if err != nil {
-		cli.Exit("lrserved", 1, err)
+// addr and run tasks for the coordinator at join until SIGINT/SIGTERM,
+// then leave. The worker runs the same loop and the same runner as a
+// coordinator's in-process workers; only its Coord, an HTTP client of
+// /cluster/v1/*, differs.
+func runWorker(addr, join string, info cluster.WorkerInfo, specCacheSize int) {
+	if info.ID == "" {
+		info.ID = "worker"
+		if host, err := os.Hostname(); err == nil && host != "" {
+			info.ID = host
+		}
 	}
-
+	w := &cluster.Worker{
+		Coord:  &cluster.Client{URL: join, Log: log.New(os.Stderr, "lrserved: ", log.LstdFlags)},
+		Info:   info,
+		Runner: &cluster.LocalRunner{Specs: verify.NewSpecCache(specCacheSize)},
+	}
 	srv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           node.Handler(),
+		Addr:              addr,
+		Handler:           service.WorkerHandler(info.ID, join),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	errc := make(chan error, 2)
-	go func() { errc <- srv.ListenAndServe() }()
-	go func() { errc <- node.Run(ctx) }()
-	fmt.Printf("lrserved: worker serving on %s, joining %s\n", cfg.addr, cfg.coordinator)
-
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
+	go func() {
+		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			cli.Exit("lrserved", 1, err)
 		}
-	case <-ctx.Done():
+	}()
+	fmt.Printf("lrserved: worker serving on %s, joining %s\n", addr, join)
+	if err := w.Start(ctx); err != nil && ctx.Err() == nil {
+		cli.Exit("lrserved", 1, err)
 	}
+	w.Wait() // until ctx is done and the worker has left
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_ = srv.Shutdown(shutdownCtx)
@@ -236,10 +232,7 @@ func main() {
 	}
 
 	if *join != "" {
-		runWorker(workerConfig{
-			addr: *addr, coordinator: *join, id: *workerID,
-			memBudget: *memBudget, slots: *workers, specCacheSize: *specCacheSize,
-		})
+		runWorker(*addr, *join, cluster.WorkerInfo{ID: *workerID, MemBudgetBytes: *memBudget, Slots: *workers}, *specCacheSize)
 		return
 	}
 

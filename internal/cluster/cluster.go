@@ -1,9 +1,12 @@
 // Package cluster is the coordinator/worker distribution layer of the
 // verification service: every lrserved owns one coordinator, which holds
-// the job queue and journal (internal/service), and workers — in-process
-// LocalWorkers, plus remote lrserved processes registered through a join
-// endpoint when the service admits them — pull verification tasks under
-// time-bounded leases with heartbeat renewal.
+// the job queue and journal (internal/service), and Workers pull
+// verification tasks from it under time-bounded leases with heartbeat
+// renewal. Every Worker runs the same loop; only how it reaches the
+// coordinator differs: the in-process workers call the Coordinator
+// directly, and an lrserved -join process, registered through the join
+// endpoint when the service admits it, calls it over HTTP through a
+// Client.
 //
 // The design extends the paper's compositional thesis to the deployment
 // layer: just as a global verdict is assembled from independently checked
@@ -27,8 +30,9 @@
 //     own advertised budgets; when no worker fits, the documented fallback
 //     is the coordinator's degrade-over-budget mode (one engine worker, a
 //     budget-clamped MaxStates).
-//   - Transport neutrality. The engine is behind the Runner interface;
-//     in-process and remote HTTP workers are interchangeable, and
+//   - Transport neutrality. The worker loop is behind the Coord
+//     interface and the engine behind the Runner interface; in-process
+//     and joined workers run the same loop and the same runner, and
 //     verdicts are byte-identical either way.
 //
 // The package deliberately does not import internal/service: the service

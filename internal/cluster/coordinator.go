@@ -203,11 +203,13 @@ func (c *Coordinator) waitLocked(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Join registers (or refreshes) a remote worker. A worker whose lease
-// expired was dropped from the registry and re-joins through here — the
-// blackholed-but-alive case. Joining is idempotent.
-func (c *Coordinator) Join(info WorkerInfo) error {
-	return c.register(info, true)
+// Join registers (or refreshes) an in-process worker and returns the
+// heartbeat cadence. Joining is idempotent. Workers that join over HTTP
+// are registered as remote by the /cluster/v1/join handler instead: their
+// leases are journaled, they are placed against their own budgets, and
+// they are dropped from the registry when a lease of theirs expires.
+func (c *Coordinator) Join(_ context.Context, info WorkerInfo) (time.Duration, error) {
+	return c.cfg.HeartbeatInterval, c.register(info, false)
 }
 
 func (c *Coordinator) register(info WorkerInfo, remote bool) error {
@@ -236,14 +238,17 @@ func (c *Coordinator) register(info WorkerInfo, remote bool) error {
 	return nil
 }
 
-// Leave deregisters a worker voluntarily (clean worker shutdown). Its
-// outstanding leases are left to expire — the worker may still complete
-// them on the way out.
+// Leave deregisters a joined worker voluntarily (clean worker shutdown).
+// Its outstanding leases are left to expire — the worker may still
+// complete them on the way out. An in-process worker never leaves: it
+// stays registered for the coordinator's lifetime, and no joined worker
+// can deregister it by naming its id.
 func (c *Coordinator) Leave(id string) {
 	c.mu.Lock()
-	_, known := c.workers[id]
-	delete(c.workers, id)
+	m, known := c.workers[id]
+	known = known && m.remote
 	if known {
+		delete(c.workers, id)
 		c.cond.Broadcast()
 	}
 	c.mu.Unlock()
@@ -441,10 +446,11 @@ func (c *Coordinator) Recover(t Task, workerID string, expiry time.Time, done Do
 
 // Next blocks until a task is queued for workerID (or ctx is done) and
 // returns it with its lease fencing token and the lease-bound execution
-// context. The worker must present the token on every Heartbeat and the
-// Complete for this attempt. Remote pollers pass a ctx bounded by the
-// long-poll window. ErrUnknownWorker means the worker was dropped after a
-// lease expiry and must re-join.
+// context, which lease expiry, the job deadline and Stop cancel, and the
+// worker's own ctx does not. The worker must present the token on every
+// Heartbeat and the Complete for this attempt. The poll handler passes a
+// ctx bounded by the long-poll window. ErrUnknownWorker means the worker
+// was dropped after a lease expiry and must re-join.
 func (c *Coordinator) Next(ctx context.Context, workerID string) (Task, uint64, context.Context, error) {
 	for {
 		c.mu.Lock()
@@ -489,7 +495,7 @@ func tokenMatchesLocked(l *lease, token uint64) bool {
 // returning. ErrLeaseGone tells the worker its lease expired (the job is
 // elsewhere — abandon the attempt); ErrUnknownWorker that it must re-join
 // first.
-func (c *Coordinator) Heartbeat(workerID, jobID string, token uint64) error {
+func (c *Coordinator) Heartbeat(_ context.Context, workerID, jobID string, token uint64) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -526,8 +532,9 @@ func (c *Coordinator) Heartbeat(workerID, jobID string, token uint64) error {
 // the re-dispatched attempt recomputes the identical verdict). The token
 // check is what makes this exact: without it, a stale attempt completing
 // after its job was re-granted to the same worker would be accepted as
-// the current attempt's outcome.
-func (c *Coordinator) Complete(workerID, jobID string, token uint64, res *verify.Result, err error) bool {
+// the current attempt's outcome. ctx is unused: an in-process worker
+// reports every attempt, also once its own shutdown has begun.
+func (c *Coordinator) Complete(_ context.Context, workerID, jobID string, token uint64, res *verify.Result, err error) bool {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

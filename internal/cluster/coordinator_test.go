@@ -76,14 +76,27 @@ func startCoordinator(t *testing.T, cfg Config) *Coordinator {
 	return c
 }
 
+// startWorker starts w, registered once it returns, and stops it when
+// the test ends.
+func startWorker(t *testing.T, w *Worker) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := w.Start(ctx); err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cancel()
+		w.Wait()
+	})
+}
+
 // TestDispatchCompletes: a local worker pulls a dispatched task, runs it,
 // and the done callback fires exactly once with the report.
 func TestDispatchCompletes(t *testing.T) {
 	c := startCoordinator(t, Config{LeaseTTL: time.Second})
-	w := &LocalWorker{Coord: c, Info: WorkerInfo{ID: "w1"}, Runner: &stubRunner{}}
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
+	w := &Worker{Coord: c, Info: WorkerInfo{ID: "w1"}, Runner: &stubRunner{}}
+	startWorker(t, w)
 	ch := make(chan doneRec, 1)
 	if err := c.Dispatch(context.Background(), testTask("j1"), collectDone(ch)); err != nil {
 		t.Fatal(err)
@@ -111,10 +124,8 @@ func TestDispatchBlocksUntilJoin(t *testing.T) {
 		t.Fatalf("dispatch returned early: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	w := &LocalWorker{Coord: c, Info: WorkerInfo{ID: "w1"}, Runner: &stubRunner{}}
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
+	w := &Worker{Coord: c, Info: WorkerInfo{ID: "w1"}, Runner: &stubRunner{}}
+	startWorker(t, w)
 	if err := <-dispatched; err != nil {
 		t.Fatalf("dispatch after join: %v", err)
 	}
@@ -127,10 +138,8 @@ func TestDispatchBlocksUntilJoin(t *testing.T) {
 // with ErrNoWorker when degradation is off, and degrades when on.
 func TestDispatchNoWorkerFits(t *testing.T) {
 	c := startCoordinator(t, Config{LeaseTTL: time.Second})
-	w := &LocalWorker{Coord: c, Info: WorkerInfo{ID: "w1", MemBudgetBytes: 1 << 10}, Runner: &stubRunner{}}
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
+	w := &Worker{Coord: c, Info: WorkerInfo{ID: "w1", MemBudgetBytes: 1 << 10}, Runner: &stubRunner{}}
+	startWorker(t, w)
 	big := testTask("j1")
 	big.Estimate = 1 << 30
 	err := c.Dispatch(context.Background(), big, collectDone(make(chan doneRec, 1)))
@@ -140,11 +149,9 @@ func TestDispatchNoWorkerFits(t *testing.T) {
 
 	cd := startCoordinator(t, Config{LeaseTTL: time.Second, DegradeOverBudget: true})
 	var got atomic.Value
-	wd := &LocalWorker{Coord: cd, Info: WorkerInfo{ID: "w1", MemBudgetBytes: 1 << 10}, Runner: &stubRunner{},
+	wd := &Worker{Coord: cd, Info: WorkerInfo{ID: "w1", MemBudgetBytes: 1 << 10}, Runner: &stubRunner{},
 		Before: func(t Task) error { got.Store(t); return nil }}
-	if err := wd.Start(); err != nil {
-		t.Fatal(err)
-	}
+	startWorker(t, wd)
 	ch := make(chan doneRec, 1)
 	if err := cd.Dispatch(context.Background(), big, collectDone(ch)); err != nil {
 		t.Fatalf("degraded dispatch: %v", err)
@@ -165,12 +172,10 @@ func TestPlacementPrefersFit(t *testing.T) {
 	c := startCoordinator(t, Config{LeaseTTL: time.Second})
 	var mu sync.Mutex
 	ran := map[string]int{}
-	mk := func(id string, budget uint64) *LocalWorker {
-		w := &LocalWorker{Coord: c, Info: WorkerInfo{ID: id, MemBudgetBytes: budget}, Runner: &stubRunner{},
+	mk := func(id string, budget uint64) *Worker {
+		w := &Worker{Coord: c, Info: WorkerInfo{ID: id, MemBudgetBytes: budget}, Runner: &stubRunner{},
 			Before: func(t Task) error { mu.Lock(); ran[id]++; mu.Unlock(); return nil }}
-		if err := w.Start(); err != nil {
-			t.Fatal(err)
-		}
+		startWorker(t, w)
 		return w
 	}
 	mk("small", 1<<10)
@@ -225,7 +230,7 @@ func TestDispatchLocalBudget(t *testing.T) {
 		if err != nil || tk.JobID != jobID {
 			t.Fatalf("next = %s, %v; want %s", tk.JobID, err, jobID)
 		}
-		if !c.Complete("w1", jobID, token, &verify.Result{}, nil) {
+		if !c.Complete(context.Background(), "w1", jobID, token, &verify.Result{}, nil) {
 			t.Fatalf("completion of %s rejected", jobID)
 		}
 		<-ch
@@ -274,7 +279,7 @@ func TestDispatchLocalBudget(t *testing.T) {
 	small := blocked(task("small", 1))
 
 	// A remote worker is not charged to the in-process budget.
-	if err := c.Join(WorkerInfo{ID: "r1"}); err != nil {
+	if err := c.register(WorkerInfo{ID: "r1"}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-small; err != nil {
@@ -327,7 +332,7 @@ func TestLeaseExpiryFiresDone(t *testing.T) {
 		},
 	})
 	completed := make(chan struct{})
-	w := &LocalWorker{
+	w := &Worker{
 		Coord: c, Info: WorkerInfo{ID: "w1"},
 		Runner:          &stubRunner{delay: time.Minute},
 		HeartbeatFilter: func(workerID, jobID string) bool { return false },
@@ -336,9 +341,7 @@ func TestLeaseExpiryFiresDone(t *testing.T) {
 	// completes late. Signal through a second dispatched task instead:
 	// after expiry the worker loop unblocks and serves again.
 	w.Before = nil
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
+	startWorker(t, w)
 	ch := make(chan doneRec, 1)
 	if err := c.Dispatch(context.Background(), testTask("j1"), collectDone(ch)); err != nil {
 		t.Fatal(err)
@@ -365,10 +368,8 @@ func TestLeaseExpiryFiresDone(t *testing.T) {
 // heartbeats flow.
 func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	c := startCoordinator(t, Config{LeaseTTL: 60 * time.Millisecond, HeartbeatInterval: 15 * time.Millisecond})
-	w := &LocalWorker{Coord: c, Info: WorkerInfo{ID: "w1"}, Runner: &stubRunner{delay: 250 * time.Millisecond}}
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
+	w := &Worker{Coord: c, Info: WorkerInfo{ID: "w1"}, Runner: &stubRunner{delay: 250 * time.Millisecond}}
+	startWorker(t, w)
 	ch := make(chan doneRec, 1)
 	if err := c.Dispatch(context.Background(), testTask("j1"), collectDone(ch)); err != nil {
 		t.Fatal(err)
@@ -396,7 +397,7 @@ func TestCompleteExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(120 * time.Millisecond)
-	if accepted := c.Complete("w1", "j1", token, &verify.Result{}, nil); accepted {
+	if accepted := c.Complete(context.Background(), "w1", "j1", token, &verify.Result{}, nil); accepted {
 		t.Fatal("late completion was accepted")
 	}
 	if fired.Load() != 1 {
@@ -442,13 +443,13 @@ func TestStaleTokenCompleteDropped(t *testing.T) {
 	if fresh == stale {
 		t.Fatalf("re-grant reused token %d", stale)
 	}
-	if accepted := c.Complete("w1", "j1", stale, nil, context.Canceled); accepted {
+	if accepted := c.Complete(context.Background(), "w1", "j1", stale, nil, context.Canceled); accepted {
 		t.Fatal("stale-token completion was accepted as the current attempt")
 	}
 	if late.Load() != 1 {
 		t.Fatalf("late results = %d, want 1", late.Load())
 	}
-	if accepted := c.Complete("w1", "j1", fresh, &verify.Result{}, nil); !accepted {
+	if accepted := c.Complete(context.Background(), "w1", "j1", fresh, &verify.Result{}, nil); !accepted {
 		t.Fatal("current-token completion rejected")
 	}
 	if rec := <-ch2; rec.err != nil || rec.rep == nil {
@@ -462,16 +463,14 @@ func TestStaleTokenCompleteDropped(t *testing.T) {
 func TestWorkerPanicIsCaptured(t *testing.T) {
 	c := startCoordinator(t, Config{LeaseTTL: time.Second})
 	var first atomic.Bool
-	w := &LocalWorker{Coord: c, Info: WorkerInfo{ID: "w1"}, Runner: &stubRunner{},
+	w := &Worker{Coord: c, Info: WorkerInfo{ID: "w1"}, Runner: &stubRunner{},
 		Before: func(t Task) error {
 			if first.CompareAndSwap(false, true) {
 				panic("injected")
 			}
 			return nil
 		}}
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
+	startWorker(t, w)
 	ch := make(chan doneRec, 2)
 	if err := c.Dispatch(context.Background(), testTask("j1"), collectDone(ch)); err != nil {
 		t.Fatal(err)
@@ -492,10 +491,8 @@ func TestWorkerPanicIsCaptured(t *testing.T) {
 func TestStopFiresCanceled(t *testing.T) {
 	c := NewCoordinator(Config{LeaseTTL: time.Second})
 	c.Start()
-	w := &LocalWorker{Coord: c, Info: WorkerInfo{ID: "w1"}, Runner: &stubRunner{delay: time.Minute}}
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
+	w := &Worker{Coord: c, Info: WorkerInfo{ID: "w1"}, Runner: &stubRunner{delay: time.Minute}}
+	startWorker(t, w)
 	ch := make(chan doneRec, 1)
 	if err := c.Dispatch(context.Background(), testTask("j1"), collectDone(ch)); err != nil {
 		t.Fatal(err)
@@ -514,12 +511,12 @@ func TestRecoverAcceptsRejoinedCompletion(t *testing.T) {
 	c := startCoordinator(t, Config{LeaseTTL: time.Second})
 	ch := make(chan doneRec, 1)
 	c.Recover(testTask("j1"), "w1", time.Now().Add(500*time.Millisecond), collectDone(ch))
-	if err := c.Join(WorkerInfo{ID: "w1"}); err != nil {
+	if err := c.register(WorkerInfo{ID: "w1"}, true); err != nil {
 		t.Fatal(err)
 	}
 	// The worker's token predates the restart, so any value must match the
 	// recovered lease (the pre-crash grant's token is unknowable here).
-	if accepted := c.Complete("w1", "j1", 7777, &verify.Result{SelfStabilizing: true}, nil); !accepted {
+	if accepted := c.Complete(context.Background(), "w1", "j1", 7777, &verify.Result{SelfStabilizing: true}, nil); !accepted {
 		t.Fatal("recovered completion rejected")
 	}
 	if rec := <-ch; rec.err != nil || rec.rep == nil || !rec.rep.SelfStabilizing {
@@ -555,15 +552,11 @@ func TestRemoteWorkerRoundTrip(t *testing.T) {
 	mux := newTestMux(c)
 	srv := newTestServer(t, mux)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rw := &Remote{
-		Coordinator: srv.URL,
-		Info:        WorkerInfo{ID: "rw1"},
-		Runner:      &stubRunner{delay: 500 * time.Millisecond}, // outlives the TTL: heartbeats must carry it
-		PollWait:    100 * time.Millisecond,
-	}
-	go rw.Run(ctx)
+	startWorker(t, &Worker{
+		Coord:  &Client{URL: srv.URL},
+		Info:   WorkerInfo{ID: "rw1"},
+		Runner: &stubRunner{delay: 500 * time.Millisecond}, // outlives the TTL: heartbeats must carry it
+	})
 
 	ch := make(chan doneRec, 1)
 	if err := c.Dispatch(context.Background(), testTask("j1"), collectDone(ch)); err != nil {
@@ -596,15 +589,17 @@ func TestRemotePollRefusalRunsNothing(t *testing.T) {
 		srv := newTestServer(t, mux)
 		var before atomic.Int64
 		runner := &stubRunner{}
-		rw := &Remote{
-			Coordinator: srv.URL,
-			Info:        WorkerInfo{ID: "rw1"},
-			Runner:      runner,
-			Before:      func(Task) error { before.Add(1); return nil },
-			PollWait:    10 * time.Millisecond,
+		rw := &Worker{
+			Coord:  &Client{URL: srv.URL},
+			Info:   WorkerInfo{ID: "rw1"},
+			Runner: runner,
+			Before: func(Task) error { before.Add(1); return nil },
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-		rw.Run(ctx)
+		if err := rw.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		rw.Wait()
 		cancel()
 		if n, m := before.Load(), runner.calls.Load(); n != 0 || m != 0 {
 			t.Errorf("poll answered %d: ran %d before hooks and %d tasks, want none", status, n, m)

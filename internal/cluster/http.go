@@ -10,7 +10,6 @@ import (
 	"log"
 	"net/http"
 	"net/url"
-	"sync"
 	"time"
 
 	"paramring/internal/verify"
@@ -125,7 +124,7 @@ func Mount(mux *http.ServeMux, c *Coordinator) {
 		if !decodeClusterJSON(w, r, &info) {
 			return
 		}
-		if err := c.Join(info); err != nil {
+		if err := c.register(info, true); err != nil {
 			clusterError(w, err)
 			return
 		}
@@ -142,14 +141,11 @@ func Mount(mux *http.ServeMux, c *Coordinator) {
 		}
 		wait := defaultPollWait
 		if req.WaitMS > 0 {
-			wait = time.Duration(req.WaitMS) * time.Millisecond
-		}
-		if wait > maxPollWait {
-			wait = maxPollWait
+			wait = time.Duration(min(req.WaitMS, maxPollWait.Milliseconds())) * time.Millisecond
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), wait)
 		defer cancel()
-		// The lease-bound context stays coordinator-side; a remote worker
+		// The lease-bound context stays coordinator-side; a joined worker
 		// bounds its run by the task deadline and the lease protocol.
 		t, token, _, err := c.Next(ctx, req.WorkerID)
 		switch {
@@ -166,7 +162,7 @@ func Mount(mux *http.ServeMux, c *Coordinator) {
 		if !decodeClusterJSON(w, r, &req) {
 			return
 		}
-		if err := c.Heartbeat(req.WorkerID, req.JobID, req.Token); err != nil {
+		if err := c.Heartbeat(r.Context(), req.WorkerID, req.JobID, req.Token); err != nil {
 			clusterError(w, err)
 			return
 		}
@@ -184,7 +180,7 @@ func Mount(mux *http.ServeMux, c *Coordinator) {
 			http.Error(w, "completion carries neither a result nor an error", http.StatusBadRequest)
 			return
 		}
-		accepted := c.Complete(req.WorkerID, req.JobID, req.Token, req.Result, werr)
+		accepted := c.Complete(r.Context(), req.WorkerID, req.JobID, req.Token, req.Result, werr)
 		clusterJSON(w, http.StatusOK, completeResponse{Accepted: accepted})
 	})
 	mux.HandleFunc("POST /cluster/v1/leave", func(w http.ResponseWriter, r *http.Request) {
@@ -229,214 +225,146 @@ func clusterError(w http.ResponseWriter, err error) {
 	}
 }
 
-// Remote is the worker side of the HTTP transport: it joins a
-// coordinator, long-polls for tasks, renews leases, and reports
-// completions, running tasks through the same Runner seam as in-process
-// execution — which is what makes remote and local verdicts
-// byte-identical.
-type Remote struct {
-	// Coordinator is the coordinator's base URL.
-	Coordinator string
-	Info        WorkerInfo
-	Runner      Runner
-	// Before and HeartbeatFilter mirror LocalWorker's fault-injection
-	// seams.
-	Before          func(t Task) error
-	HeartbeatFilter func(workerID, jobID string) bool
-	Client          *http.Client
-	Log             *log.Logger
-	// PollWait bounds each long poll (default 5s).
-	PollWait time.Duration
-
-	heartbeatEvery time.Duration
+// Client reaches a coordinator over /cluster/v1/*: the Coord of an
+// lrserved -join worker. It keeps the joined worker's semantics inside its
+// calls. Join retries with capped backoff until the coordinator answers.
+// Next long-polls and waits 1 s after a refused poll, so a joined worker
+// outlives a coordinator restart, and it hands the attempt the worker's
+// own context: the worker's shutdown cancels the attempt, and Complete,
+// which posts under that context, then reports nothing, so the lease
+// expires and the job re-dispatches. Heartbeat maps 404 and 410 onto
+// ErrLeaseGone and ErrUnknownWorker, on which the Worker abandons the
+// attempt. Leave tells the coordinator on the way out.
+type Client struct {
+	// URL is the coordinator's base URL (http://host:port).
+	URL string
+	// Log receives transport warnings (nil = none).
+	Log *log.Logger
 }
 
-// Run joins the coordinator and serves tasks until ctx is done, then
-// leaves cleanly. Join failures retry with capped backoff; a 410 from
-// any call triggers a re-join.
-func (rw *Remote) Run(ctx context.Context) error {
-	if rw.Coordinator == "" {
-		return errors.New("cluster: remote worker: empty coordinator URL")
+// Join implements Coord.
+func (c *Client) Join(ctx context.Context, info WorkerInfo) (time.Duration, error) {
+	if _, err := url.ParseRequestURI(c.URL); err != nil {
+		return 0, fmt.Errorf("cluster: bad coordinator URL: %w", err)
 	}
-	if _, err := url.ParseRequestURI(rw.Coordinator); err != nil {
-		return fmt.Errorf("cluster: remote worker: bad coordinator URL: %w", err)
-	}
-	if err := rw.joinLoop(ctx); err != nil {
-		return err
-	}
-	defer rw.leave()
-
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	slots := rw.Info.slots()
-	errs := make(chan error, slots)
-	for i := 0; i < slots; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs <- rw.serve(ctx)
-		}()
-	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case err := <-errs:
-		return err
-	}
-}
-
-func (rw *Remote) serve(ctx context.Context) error {
+	delay := 100 * time.Millisecond
 	for {
-		a, status, err := rw.poll(ctx)
-		switch {
-		case ctx.Err() != nil:
-			return ctx.Err()
-		case status == http.StatusGone:
-			if err := rw.joinLoop(ctx); err != nil {
-				return err
+		var resp joinResponse
+		status, err := c.post(ctx, "/cluster/v1/join", info, &resp)
+		if err == nil && status == http.StatusOK {
+			if resp.HeartbeatMS <= 0 {
+				return time.Second, nil
 			}
-			continue
-		case status == http.StatusNoContent:
-			continue
-		case err == nil && status != http.StatusOK:
+			return time.Duration(resp.HeartbeatMS) * time.Millisecond, nil
+		}
+		if err == nil {
+			err = fmt.Errorf("HTTP %d", status)
+		}
+		c.logf(info.ID, "join: %v (retrying in %s)", err, delay)
+		if !sleepCtx(ctx, delay) {
+			return 0, ctx.Err()
+		}
+		delay = min(2*delay, 5*time.Second)
+	}
+}
+
+// Next implements Coord.
+func (c *Client) Next(ctx context.Context, workerID string) (Task, uint64, context.Context, error) {
+	for {
+		var a assignment
+		status, err := c.post(ctx, "/cluster/v1/poll", pollRequest{WorkerID: workerID}, &a)
+		if ctx.Err() != nil {
+			return Task{}, 0, nil, ctx.Err()
+		}
+		if err == nil {
+			switch status {
+			case http.StatusOK:
+				return a.Task, a.Token, ctx, nil
+			case http.StatusNoContent:
+				continue
+			case http.StatusGone:
+				return Task{}, 0, nil, ErrUnknownWorker
+			}
 			// A stopped coordinator (503), or a node that admits no
 			// workers (404): there is no assignment to run.
 			err = fmt.Errorf("HTTP %d", status)
 		}
-		if err != nil {
-			rw.logf("poll: %v (retrying)", err)
-			if !sleepCtx(ctx, time.Second) {
-				return ctx.Err()
-			}
-			continue
+		c.logf(workerID, "poll: %v (retrying)", err)
+		if !sleepCtx(ctx, time.Second) {
+			return Task{}, 0, nil, ctx.Err()
 		}
-		rw.execute(ctx, a)
 	}
 }
 
-// execute runs one assigned task bounded by its deadline, heartbeating
-// under the assignment's fencing token until done.
-func (rw *Remote) execute(ctx context.Context, a assignment) {
-	t := a.Task
-	runCtx, cancel := context.WithDeadline(ctx, t.Deadline())
-	hbStop := rw.heartbeats(runCtx, cancel, t.JobID, a.Token)
-	res, rerr := RunTask(runCtx, rw.Runner, t, rw.Before)
-	hbStop()
-	cancel()
-	kind, msg := classifyWireError(rerr)
+// Heartbeat implements Coord.
+func (c *Client) Heartbeat(ctx context.Context, workerID, jobID string, token uint64) error {
+	status, err := c.post(ctx, "/cluster/v1/heartbeat", heartbeatRequest{WorkerID: workerID, JobID: jobID, Token: token}, nil)
+	if err == nil {
+		err = statusError(status)
+	}
+	if err != nil && ctx.Err() == nil {
+		c.logf(workerID, "heartbeat %s: %v", jobID, err)
+	}
+	return err
+}
+
+// Complete implements Coord.
+func (c *Client) Complete(ctx context.Context, workerID, jobID string, token uint64, res *verify.Result, err error) bool {
+	kind, msg := classifyWireError(err)
 	var resp completeResponse
-	status, err := rw.post(ctx, "/cluster/v1/complete", completeRequest{
-		WorkerID: rw.Info.ID, JobID: t.JobID, Token: a.Token,
+	status, perr := c.post(ctx, "/cluster/v1/complete", completeRequest{
+		WorkerID: workerID, JobID: jobID, Token: token,
 		Result: res, Error: msg, Kind: kind,
 	}, &resp)
-	if err != nil {
-		rw.logf("complete %s: %v (result lost; lease will expire)", t.JobID, err)
-		return
+	switch {
+	case perr != nil:
+		c.logf(workerID, "complete %s: %v (result lost; lease will expire)", jobID, perr)
+	case status != http.StatusOK:
+		c.logf(workerID, "complete %s: HTTP %d", jobID, status)
+	case !resp.Accepted:
+		c.logf(workerID, "complete %s: dropped as late result", jobID)
 	}
-	if status == http.StatusOK && !resp.Accepted {
-		rw.logf("complete %s: dropped as late result", t.JobID)
-	}
+	return perr == nil && status == http.StatusOK && resp.Accepted
 }
 
-// heartbeats renews the task lease on the joined cadence; a 404 (lease
-// gone) aborts the run — the job has been re-dispatched elsewhere.
-func (rw *Remote) heartbeats(ctx context.Context, abort context.CancelFunc, jobID string, token uint64) (stop func()) {
-	done := make(chan struct{})
-	var once sync.Once
-	every := rw.heartbeatEvery
-	if every <= 0 {
-		every = time.Second
-	}
-	go func() {
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				if rw.HeartbeatFilter != nil && !rw.HeartbeatFilter(rw.Info.ID, jobID) {
-					continue
-				}
-				status, err := rw.post(ctx, "/cluster/v1/heartbeat", heartbeatRequest{WorkerID: rw.Info.ID, JobID: jobID, Token: token}, nil)
-				if err != nil {
-					rw.logf("heartbeat %s: %v", jobID, err)
-					continue
-				}
-				if status == http.StatusNotFound || status == http.StatusGone {
-					rw.logf("heartbeat %s: lease gone; abandoning attempt", jobID)
-					abort()
-					return
-				}
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
-}
-
-// joinLoop joins with capped exponential backoff until success or ctx
-// done, and records the coordinator's advertised heartbeat cadence.
-func (rw *Remote) joinLoop(ctx context.Context) error {
-	delay := 100 * time.Millisecond
-	for {
-		var resp joinResponse
-		status, err := rw.post(ctx, "/cluster/v1/join", rw.Info, &resp)
-		if err == nil && status == http.StatusOK {
-			if resp.HeartbeatMS > 0 {
-				rw.heartbeatEvery = time.Duration(resp.HeartbeatMS) * time.Millisecond
-			}
-			return nil
-		}
-		if err == nil {
-			err = fmt.Errorf("join: HTTP %d", status)
-		}
-		rw.logf("join: %v (retrying in %s)", err, delay)
-		if !sleepCtx(ctx, delay) {
-			return ctx.Err()
-		}
-		if delay *= 2; delay > 5*time.Second {
-			delay = 5 * time.Second
-		}
-	}
-}
-
-func (rw *Remote) leave() {
+// Leave implements Coord, within 2 s of its own: the worker's context is
+// done by the time it leaves.
+func (c *Client) Leave(workerID string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	rw.post(ctx, "/cluster/v1/leave", leaveRequest{WorkerID: rw.Info.ID}, nil)
+	c.post(ctx, "/cluster/v1/leave", leaveRequest{WorkerID: workerID}, nil)
 }
 
-// poll long-polls for the next assignment. Returns the HTTP status; 204
-// means no task this window.
-func (rw *Remote) poll(ctx context.Context) (assignment, int, error) {
-	wait := rw.PollWait
-	if wait <= 0 {
-		wait = defaultPollWait
+// statusError maps a coordinator's answer onto the error *Coordinator
+// returns in process; it inverts clusterError.
+func statusError(status int) error {
+	switch status {
+	case http.StatusOK:
+		return nil
+	case http.StatusNotFound:
+		return ErrLeaseGone
+	case http.StatusGone:
+		return ErrUnknownWorker
+	case http.StatusServiceUnavailable:
+		return ErrStopped
+	default:
+		return fmt.Errorf("HTTP %d", status)
 	}
-	var a assignment
-	status, err := rw.post(ctx, "/cluster/v1/poll", pollRequest{WorkerID: rw.Info.ID, WaitMS: wait.Milliseconds()}, &a)
-	return a, status, err
 }
 
 // post issues one JSON round trip. Non-2xx statuses are returned, not
 // errors, so callers can branch on protocol statuses (204/404/410).
-func (rw *Remote) post(ctx context.Context, path string, body, out any) (int, error) {
+func (c *Client) post(ctx context.Context, path string, body, out any) (int, error) {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rw.Coordinator+path, bytes.NewReader(data))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.URL+path, bytes.NewReader(data))
 	if err != nil {
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	client := rw.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -453,9 +381,9 @@ func (rw *Remote) post(ctx context.Context, path string, body, out any) (int, er
 	return resp.StatusCode, nil
 }
 
-func (rw *Remote) logf(format string, args ...any) {
-	if rw.Log != nil {
-		rw.Log.Printf("worker %s: "+format, append([]any{rw.Info.ID}, args...)...)
+func (c *Client) logf(workerID, format string, args ...any) {
+	if c.Log != nil {
+		c.Log.Printf("worker %s: "+format, append([]any{workerID}, args...)...)
 	}
 }
 

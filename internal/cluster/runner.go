@@ -3,31 +3,24 @@ package cluster
 import (
 	"context"
 
-	"paramring/internal/corpus"
 	"paramring/internal/verify"
 )
 
 // Runner executes one verification attempt and returns the projected
-// Result. It is the transport-neutral engine seam: the service's
-// in-process workers and remote lrserved worker processes both run tasks
-// through a Runner, so a verdict never depends on where it was computed.
-// ctx is canceled on lease expiry, deadline, or shutdown.
+// Result. It is the transport-neutral engine seam: every Worker, in
+// process or joined, runs its tasks through a Runner, so a verdict never
+// depends on where it was computed. ctx is canceled on lease expiry,
+// deadline, or shutdown.
 type Runner interface {
 	Run(ctx context.Context, t Task) (*verify.Result, error)
 }
 
 // LocalRunner runs tasks in-process, on the service's in-process workers
-// and in remote worker processes alike: the compiled-spec cache skips
-// parse/validate/compile for repeat canonical specs, and same-family
-// tasks share one skeleton LTG and one Theorem 5.14 verdict memo. Sharing
-// never changes a verdict — the skeleton is shape-guarded and memo
-// verdicts are pure functions of the key — so the content-addressed
-// result cache stays byte-stable. On batches of sweep siblings the memo
-// costs about 17 MiB of peak RSS, and its effect on throughput is within
-// run-to-run spread (PERFORMANCE.md, "Per-family memo ablation").
+// and in joined worker processes alike: the compiled-spec cache skips
+// parse/validate/compile for repeat canonical specs, and verify.CheckCtx
+// does the rest. Nothing else is shared between tasks.
 type LocalRunner struct {
 	Specs *verify.SpecCache
-	Memos *corpus.FamilyMemos
 }
 
 // Run implements Runner.
@@ -39,9 +32,7 @@ func (r *LocalRunner) Run(ctx context.Context, t Task) (*verify.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := t.Options.EngineOptions(t.EngineWorkers, t.DegradeBudget)
-	opts.Check = r.Memos.CheckOptions(cs.Protocol, opts.Check)
-	rep, err := verify.CheckCtx(ctx, cs.Protocol, opts)
+	rep, err := verify.CheckCtx(ctx, cs.Protocol, t.Options.EngineOptions(t.EngineWorkers, t.DegradeBudget))
 	if err != nil {
 		return nil, err
 	}

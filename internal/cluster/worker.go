@@ -6,16 +6,42 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"paramring/internal/verify"
 )
 
+// Coord is the worker's half of the lease protocol: what a Worker needs of
+// its coordinator. *Coordinator implements it in process and *Client over
+// /cluster/v1/* for lrserved -join. Each implementation keeps its
+// transport's semantics inside its own calls — which context an attempt
+// runs under, whether a completion is reported after the worker's own
+// shutdown, how a refused call is retried, whether the worker ever leaves
+// — so the Worker loop never asks which one it reaches.
+type Coord interface {
+	// Join registers info and returns the heartbeat cadence the
+	// coordinator asks for.
+	Join(ctx context.Context, info WorkerInfo) (time.Duration, error)
+	// Next blocks until a task is granted to workerID and returns it with
+	// its lease fencing token and the context its attempt runs under.
+	// ErrUnknownWorker asks the worker to re-join; any other error ends
+	// the pull loop.
+	Next(ctx context.Context, workerID string) (Task, uint64, context.Context, error)
+	// Heartbeat renews a lease. ErrLeaseGone and ErrUnknownWorker mean
+	// the job has moved on.
+	Heartbeat(ctx context.Context, workerID, jobID string, token uint64) error
+	// Complete reports an attempt's outcome and whether it was accepted.
+	Complete(ctx context.Context, workerID, jobID string, token uint64, res *verify.Result, err error) bool
+	// Leave deregisters the worker on its way out.
+	Leave(workerID string)
+}
+
 // RunTask executes one attempt of t through r. It is the attempt's only
-// recover boundary — LocalWorker and Remote both run through it — so a
-// panic in the before hook or the engine becomes an ErrWorkerPanic-wrapped
-// error carrying the panic value and stack instead of killing the caller,
-// and the retry accounting sees it like any other transient failure.
+// recover boundary, so a panic in the before hook or the engine becomes an
+// ErrWorkerPanic-wrapped error carrying the panic value and stack instead
+// of killing the worker, and the retry accounting sees it like any other
+// transient failure.
 func RunTask(ctx context.Context, r Runner, t Task, before func(Task) error) (res *verify.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -31,12 +57,15 @@ func RunTask(ctx context.Context, r Runner, t Task, before func(Task) error) (re
 	return r.Run(ctx, t)
 }
 
-// LocalWorker is an in-process cluster worker: the same pull / heartbeat
-// / complete protocol as a remote lrserved worker, minus the HTTP hop.
-// Every lrserved runs its engine workers as LocalWorkers sharing one
-// LocalRunner, each a registered one-slot member of its coordinator.
-type LocalWorker struct {
-	Coord  *Coordinator
+// Worker runs tasks for one coordinator, Info.Slots at a time: the
+// in-process workers of every lrserved, with the *Coordinator itself as
+// their Coord, and the worker of an lrserved -join process, with a
+// *Client. Each slot runs one loop: pull a task, run it through RunTask
+// under its lease context bounded by the task deadline while heartbeating
+// under its fencing token, complete it, and re-join when the coordinator
+// has forgotten the worker.
+type Worker struct {
+	Coord  Coord
 	Info   WorkerInfo
 	Runner Runner
 	// Before runs before each task inside the recover boundary — the
@@ -47,89 +76,97 @@ type LocalWorker struct {
 	// running the task; only the renewal is lost.
 	HeartbeatFilter func(workerID, jobID string) bool
 
-	interval time.Duration
-	stop     context.CancelFunc
-	wg       sync.WaitGroup
+	running sync.WaitGroup // pull loops still running
 }
 
-// Start registers the worker and launches one pull loop per slot.
-func (w *LocalWorker) Start() error {
-	if err := w.Coord.register(w.Info, false); err != nil {
+// Start joins the coordinator and returns once the worker is registered,
+// with Info.Slots pull loops serving until ctx is done or the coordinator
+// stops; the last loop to exit leaves. On a Join error nothing runs.
+func (w *Worker) Start(ctx context.Context) error {
+	every, err := w.Coord.Join(ctx, w.Info)
+	if err != nil {
 		return err
 	}
-	w.interval = w.Coord.cfg.HeartbeatInterval
-	ctx, cancel := context.WithCancel(context.Background())
-	w.stop = cancel
-	for i := 0; i < w.Info.slots(); i++ {
-		w.wg.Add(1)
-		go w.loop(ctx)
+	slots := w.Info.slots()
+	var active atomic.Int64
+	active.Store(int64(slots))
+	w.running.Add(slots)
+	for range slots {
+		go func() {
+			defer w.running.Done()
+			w.serve(ctx, every)
+			if active.Add(-1) == 0 {
+				w.Coord.Leave(w.Info.ID)
+			}
+		}()
 	}
 	return nil
 }
 
-// Wait blocks until every pull loop has exited (they exit when the
-// coordinator stops, or on Stop).
-func (w *LocalWorker) Wait() {
-	w.wg.Wait()
+// Wait blocks until every pull loop has exited and the worker has left.
+func (w *Worker) Wait() {
+	w.running.Wait()
 }
 
-// Stop ends the pull loops, each once it has reported its attempt in
-// flight through Complete, and waits for them. A task granted to the
-// worker but not yet pulled stays with the coordinator, whose Stop fails
-// it.
-func (w *LocalWorker) Stop() {
-	w.stop()
-	w.wg.Wait()
-}
-
-func (w *LocalWorker) loop(stopped context.Context) {
-	defer w.wg.Done()
-	for stopped.Err() == nil {
-		t, token, ctx, err := w.Coord.Next(stopped, w.Info.ID)
-		if err != nil {
-			if errors.Is(err, ErrUnknownWorker) {
-				// Dropped from the registry (a lease expired on us); local
-				// workers are still alive, so re-join and keep serving.
-				if w.Coord.register(w.Info, false) != nil {
-					return
-				}
-				continue
+// serve is one slot's pull loop.
+func (w *Worker) serve(ctx context.Context, every time.Duration) {
+	for ctx.Err() == nil {
+		t, token, leaseCtx, err := w.Coord.Next(ctx, w.Info.ID)
+		if errors.Is(err, ErrUnknownWorker) {
+			// Dropped from the registry after a lease expiry, but alive:
+			// re-join and keep serving.
+			if every, err = w.Coord.Join(ctx, w.Info); err != nil {
+				return
 			}
-			return // ErrStopped, or Stop
+			continue
 		}
-		stop := w.heartbeats(t.JobID, token)
-		res, rerr := RunTask(ctx, w.Runner, t, w.Before)
-		stop()
-		w.Coord.Complete(w.Info.ID, t.JobID, token, res, rerr)
+		if err != nil {
+			return // ctx done, or ErrStopped
+		}
+		w.attempt(ctx, leaseCtx, t, token, every)
 	}
 }
 
-// heartbeats renews the lease for jobID under its fencing token on the
-// configured cadence until the returned stop function is called or the
-// lease dies.
-func (w *LocalWorker) heartbeats(jobID string, token uint64) (stop func()) {
-	done := make(chan struct{})
-	var once sync.Once
+// attempt runs one granted task and reports its outcome.
+func (w *Worker) attempt(ctx, leaseCtx context.Context, t Task, token uint64, every time.Duration) {
+	runCtx, abandon := context.WithDeadline(leaseCtx, t.Deadline())
+	defer abandon()
+	stop := w.heartbeats(ctx, abandon, t.JobID, token, every)
+	res, err := RunTask(runCtx, w.Runner, t, w.Before)
+	stop()
+	w.Coord.Complete(ctx, w.Info.ID, t.JobID, token, res, err)
+}
+
+// heartbeats renews the lease for jobID under its fencing token every
+// interval until the returned stop function is called; stop returns once
+// no renewal is in flight, so none follows the completion. A renewal
+// answered ErrLeaseGone or ErrUnknownWorker means the job has moved on:
+// abandon cancels the attempt, whose completion then arrives as a late
+// result. Any other error leaves the renewal to the next tick.
+func (w *Worker) heartbeats(ctx context.Context, abandon context.CancelFunc, jobID string, token uint64, every time.Duration) (stop func()) {
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
-		ticker := time.NewTicker(w.interval)
+		defer close(exited)
+		ticker := time.NewTicker(every)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-done:
 				return
 			case <-ticker.C:
-				if w.HeartbeatFilter != nil && !w.HeartbeatFilter(w.Info.ID, jobID) {
-					continue
-				}
-				err := w.Coord.Heartbeat(w.Info.ID, jobID, token)
-				if err != nil && !errors.Is(err, ErrUnknownWorker) {
-					// ErrLeaseGone / ErrStopped: nothing left to renew. The
-					// run context was canceled at expiry; let the loop's
-					// Complete surface as a late result.
-					return
-				}
+			}
+			if w.HeartbeatFilter != nil && !w.HeartbeatFilter(w.Info.ID, jobID) {
+				continue
+			}
+			err := w.Coord.Heartbeat(ctx, w.Info.ID, jobID, token)
+			if errors.Is(err, ErrLeaseGone) || errors.Is(err, ErrUnknownWorker) {
+				abandon()
+				return
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		close(done)
+		<-exited
+	}
 }

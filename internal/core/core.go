@@ -237,8 +237,11 @@ func (p *Protocol) LegitimateView(v View) bool { return p.legit(v) }
 
 // Unidirectional reports whether every process reads only itself and left
 // neighbors (Hi == 0), which makes the ring unidirectional: information, and
-// hence enablement, flows only rightward (P_{i+1} is the unique successor of
-// P_i). The livelock-freedom theorems of the paper's Section 5 require this.
+// hence enablement, flows only rightward. The livelock-freedom theorems of
+// the paper's Section 5 require this, but it is not enough for them: their
+// lemmas are proven for window [-1,0], where P_{i+1} is the unique reader
+// of P_i's writes. On a wider window [lo,0], lo <= -2, P_{i+2} reads them
+// too, and ltg.TheoremScope withholds Theorem 5.14's proof.
 func (p *Protocol) Unidirectional() bool { return p.hi == 0 && p.lo < 0 }
 
 // WithActions returns a copy of p with extra actions appended. Used to add

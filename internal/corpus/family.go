@@ -2,11 +2,16 @@
 // protocols of one (domain, window, legitimacy) shape, such as the
 // siblings of a protogen sweep. FamilyKey names the shape, and
 // FamilyMemos hands every member of a family one skeleton LTG, which
-// donates its s-arc RCG, and one verdict memo. The service's runner
-// (cluster.LocalRunner) fills ltg.CheckOptions from it on every attempt.
-// Sharing never changes a verdict: the skeleton is only consulted when the
-// shapes match exactly (ltg.LTG.SameShape), and memo verdicts are pure
-// functions of the t-arc subset.
+// donates its s-arc RCG, and one verdict memo. Sharing never changes a
+// verdict: the skeleton is only consulted when the shapes match exactly
+// (ltg.LTG.SameShape), and memo verdicts are pure functions of the t-arc
+// subset.
+//
+// No serving path uses it: its ablation on the service never paid
+// (PERFORMANCE.md, "Per-family memo ablation"), so the service's workers
+// verify through verify.CheckCtx alone. The package remains only because
+// e2ebench's trace replay imports it, and it goes with the benchmark
+// change of ROADMAP item 6.
 package corpus
 
 import (

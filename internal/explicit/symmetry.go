@@ -53,14 +53,12 @@ func (in *Instance) CheckStrongConvergenceReduced() (ConvergenceReport, error) {
 
 	// Pass 1: deadlocks among orbit representatives.
 	reps := 0
-	for id := uint64(0); id < in.n; id++ {
-		if in.Canonical(id) != id {
-			continue
-		}
+	c := in.newRepCursor()
+	for ok := c.seek(0); ok; ok = c.next() {
+		id := c.od.id
 		reps++
 		if !in.inI.Get(id) && in.IsDeadlock(id) {
-			d := id
-			rep.DeadlockWitness = &d
+			rep.DeadlockWitness = &id
 			rep.StatesExplored = uint64(reps)
 			return rep, nil
 		}
@@ -92,8 +90,9 @@ func (in *Instance) CheckStrongConvergenceReduced() (ConvergenceReport, error) {
 		}
 		return out
 	}
-	for root := uint64(0); root < in.n; root++ {
-		if in.inI.Get(root) || in.Canonical(root) != root || color[root] != white {
+	for ok := c.seek(0); ok; ok = c.next() {
+		root := c.od.id
+		if in.inI.Get(root) || color[root] != white {
 			continue
 		}
 		stack := []frame{{v: root}}
@@ -134,11 +133,5 @@ func (in *Instance) CheckStrongConvergenceReduced() (ConvergenceReport, error) {
 
 // OrbitCount returns the number of rotation orbits (the quotient size).
 func (in *Instance) OrbitCount() uint64 {
-	var count uint64
-	for id := uint64(0); id < in.n; id++ {
-		if in.Canonical(id) == id {
-			count++
-		}
-	}
-	return count
+	return necklaces(in.d, in.k)
 }

@@ -22,6 +22,9 @@ type Diagnosis struct {
 	// TotalSubsets counts all subsets examined (including non-pseudo-
 	// livelocking ones, which are skipped).
 	TotalSubsets int
+	// Reason says why a trail-free analysis is Unknown rather than Free:
+	// the window is one TheoremScope excludes.
+	Reason string
 }
 
 // SubsetDiagnosis classifies one pseudo-livelocking t-arc subset.
@@ -72,9 +75,12 @@ func Diagnose(p *core.Protocol, opts CheckOptions) (*Diagnosis, error) {
 		}
 		d.Subsets = append(d.Subsets, sd)
 	}
-	if anyTrail {
+	switch err := TheoremScope(p); {
+	case anyTrail:
 		d.Verdict = VerdictPotentialLivelock
-	} else {
+	case err != nil:
+		d.Verdict, d.Reason = VerdictUnknown, err.Error()
+	default:
 		d.Verdict = VerdictFree
 	}
 	return d, nil
@@ -86,6 +92,9 @@ func (d *Diagnosis) Summary(sys *core.System) string {
 	fmt.Fprintf(&b, "verdict: %v", d.Verdict)
 	if d.ContiguousOnly {
 		b.WriteString(" (contiguous livelocks only: bidirectional ring)")
+	}
+	if d.Reason != "" {
+		fmt.Fprintf(&b, " (%s)", d.Reason)
 	}
 	fmt.Fprintf(&b, "\n%d subsets examined, %d pseudo-livelocking:\n", d.TotalSubsets, len(d.Subsets))
 	for _, sd := range d.Subsets {

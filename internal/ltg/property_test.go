@@ -12,38 +12,43 @@ import (
 // Soundness of Theorem 5.14's checker under nondeterministic actions: a
 // Free verdict must never coexist with an explicit livelock at any checked
 // ring size. This widens the deterministic soundness test with protogen's
-// nondeterministic generator.
+// nondeterministic generator, on windows [-1,0], [-2,0] and [-3,0] (fewer
+// of the costly [-3,0] draws, as in TestLivelockFreedomSoundnessRandom).
 func TestLivelockFreedomSoundnessNondetRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(60321))
-	free, flagged := 0, 0
-	for trial := 0; trial < 250; trial++ {
-		p := protogen.Random(rng, protogen.Options{
-			SelfDisabling: true,
-			MovePercent:   65,
-			Nondet:        true,
-		})
-		rep, err := CheckLivelockFreedom(p, CheckOptions{})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if rep.Verdict != VerdictFree {
-			flagged++
-			continue
-		}
-		free++
-		for k := 2; k <= 6; k++ {
-			in, err := explicit.NewInstance(p, k)
+	for _, w := range []struct{ lo, trials int }{{-1, 250}, {-2, 250}, {-3, 50}} {
+		lo := w.lo
+		rng := rand.New(rand.NewSource(60321))
+		free, flagged := 0, 0
+		for trial := 0; trial < w.trials; trial++ {
+			p := protogen.Random(rng, protogen.Options{
+				Lo:            lo,
+				SelfDisabling: true,
+				MovePercent:   65,
+				Nondet:        true,
+			})
+			rep, err := CheckLivelockFreedom(p, CheckOptions{})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("window [%d,0] trial %d: %v", lo, trial, err)
 			}
-			if c := in.FindLivelock(); c != nil {
-				t.Fatalf("trial %d: UNSOUND: free verdict but K=%d livelock %s",
-					trial, k, in.FormatCycle(c))
+			if rep.Verdict != VerdictFree {
+				flagged++
+				continue
+			}
+			free++
+			for k := 2; k <= 6; k++ {
+				in, err := explicit.NewInstance(p, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c := in.FindLivelock(); c != nil {
+					t.Fatalf("window [%d,0] trial %d: UNSOUND: free verdict but K=%d livelock %s",
+						lo, trial, k, in.FormatCycle(c))
+				}
 			}
 		}
-	}
-	if free < 40 || flagged < 10 {
-		t.Fatalf("distribution too skewed to be meaningful: free=%d flagged=%d", free, flagged)
+		if lo == -1 && (free < 40 || flagged < 10) {
+			t.Fatalf("distribution too skewed to be meaningful: free=%d flagged=%d", free, flagged)
+		}
 	}
 }
 

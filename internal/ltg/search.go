@@ -3,6 +3,7 @@ package ltg
 import (
 	"context"
 	"encoding/binary"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -121,20 +122,81 @@ func (l *LTG) FindTrailSubset(tarcs []core.LocalTransition, mustInclude int, mem
 // each one is cheap.
 const pollEvery = 256
 
+// writeCycles answers FormsPseudoLivelock for the subsets of one t-arc
+// list by bit mask, without building the subset or a graph. The write
+// projection has at most domain vertices, so for domains up to 64 a
+// vertex's successors fit one uint64 row, and a Warshall closure over the
+// rows says which projected edges lie on a cycle: edge u -> v does when
+// u == v or v reaches u. The subset search calls it once per mask, where
+// FormsPseudoLivelock allocated the subset, a digraph and its SCC index.
+type writeCycles struct {
+	u, v []uint8 // own values of each t-arc's source and target
+}
+
+// newWriteCycles returns the mask test for tarcs, or nil when the domain
+// is too large for it.
+func newWriteCycles(sys *core.System, tarcs []core.LocalTransition) *writeCycles {
+	if sys.Protocol().Domain() > 64 {
+		return nil
+	}
+	w := &writeCycles{u: make([]uint8, len(tarcs)), v: make([]uint8, len(tarcs))}
+	for i, t := range tarcs {
+		w.u[i], w.v[i] = uint8(sys.OwnValue(t.Src)), uint8(sys.OwnValue(t.Dst))
+	}
+	return w
+}
+
+// forms reports FormsPseudoLivelock(sys, subsetOf(tarcs, mask)) for a
+// non-empty mask.
+func (w *writeCycles) forms(mask int) bool {
+	var reach [64]uint64
+	var present uint64
+	for m := uint(mask); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros(m)
+		reach[w.u[i]] |= 1 << w.v[i]
+		present |= 1<<w.u[i] | 1<<w.v[i]
+	}
+	for ks := present; ks != 0; ks &= ks - 1 {
+		k := bits.TrailingZeros64(ks)
+		for is := present; is != 0; is &= is - 1 {
+			if i := bits.TrailingZeros64(is); reach[i]&(1<<k) != 0 {
+				reach[i] |= reach[k]
+			}
+		}
+	}
+	for m := uint(mask); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros(m)
+		if w.u[i] != w.v[i] && reach[w.v[i]]&(1<<w.u[i]) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // findTrailSubset is FindTrailSubset that gives up with ctx's error once
 // ctx is done.
 func (l *LTG) findTrailSubset(ctx context.Context, tarcs []core.LocalTransition, mustInclude int, memo *Memo) (*TrailWitness, int, error) {
 	checked := 0
 	var buf []byte
+	// pseudo is FormsPseudoLivelock of mask's subset, by the mask test
+	// wherever the domain allows it: then a mask that forms no
+	// pseudo-livelock allocates nothing.
+	cycles := newWriteCycles(l.sys, tarcs)
+	pseudo := func(mask int) bool {
+		if cycles == nil {
+			return FormsPseudoLivelock(l.sys, subsetOf(tarcs, mask))
+		}
+		return cycles.forms(mask)
+	}
 	eval := func(mask int) *TrailWitness {
-		subset := subsetOf(tarcs, mask)
 		checked++
 		if memo == nil {
-			if !FormsPseudoLivelock(l.sys, subset) {
+			if !pseudo(mask) {
 				return nil
 			}
-			return l.trailFor(subset)
+			return l.trailFor(subsetOf(tarcs, mask))
 		}
+		subset := subsetOf(tarcs, mask)
 		key := l.subsetKey(subset, &buf)
 		switch memo.lookup(key) {
 		case verdictNotPseudo, verdictPseudoOnly:
@@ -146,7 +208,7 @@ func (l *LTG) findTrailSubset(ctx context.Context, tarcs []core.LocalTransition,
 		}
 		v := verdictNotPseudo
 		var w *TrailWitness
-		if FormsPseudoLivelock(l.sys, subset) {
+		if pseudo(mask) {
 			if w = l.trailFor(subset); w != nil {
 				v = verdictPseudoTrail
 			} else {

@@ -1,11 +1,13 @@
 package ltg
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"paramring/internal/core"
 	"paramring/internal/protocols"
+	"paramring/internal/protogen"
 )
 
 // systemsUnderTest collects compiled self-disabling zoo protocols with few
@@ -116,5 +118,35 @@ func TestFindTrailSubsetFindsKnownTrail(t *testing.T) {
 		if len(w.IllegitimateStates) == 0 {
 			t.Fatalf("%s: witness lacks an illegitimate state", p.Name())
 		}
+	}
+}
+
+// TestWriteCyclesMatchesFormsPseudoLivelock holds the subset search's mask
+// test to FormsPseudoLivelock, its reference, on every subset of the first
+// ten t-arcs of random protocols: domains 2 to 5, windows [-1,0] and
+// [-2,1], deterministic and not.
+func TestWriteCyclesMatchesFormsPseudoLivelock(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	masks := 0
+	for trial := 0; trial < 300; trial++ {
+		lo, hi := -1, 0
+		if trial%2 == 1 {
+			lo, hi = -2, 1
+		}
+		p := protogen.Random(rng, protogen.Options{
+			Domain: 2 + trial%4, Lo: lo, Hi: hi, MovePercent: 60, Nondet: trial%3 == 0,
+		})
+		sys := p.Compile()
+		tarcs := sys.Trans[:min(len(sys.Trans), 10)]
+		w := newWriteCycles(sys, tarcs)
+		for mask := 1; mask < 1<<len(tarcs); mask++ {
+			masks++
+			if got, want := w.forms(mask), FormsPseudoLivelock(sys, subsetOf(tarcs, mask)); got != want {
+				t.Fatalf("trial %d mask %b: mask test %v, FormsPseudoLivelock %v", trial, mask, got, want)
+			}
+		}
+	}
+	if masks < 100000 {
+		t.Fatalf("only %d masks compared", masks)
 	}
 }

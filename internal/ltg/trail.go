@@ -13,16 +13,18 @@ type Verdict int
 
 const (
 	// VerdictFree proves livelock-freedom for every ring size K (for
-	// unidirectional rings; for bidirectional rings it proves freedom from
-	// contiguous livelocks only — see Report.ContiguousOnly).
+	// window [-1,0]; for bidirectional rings it proves freedom from
+	// contiguous livelocks only — see Report.ContiguousOnly). On a wider
+	// left-only window the search never returns it (see TheoremScope).
 	VerdictFree Verdict = iota + 1
 	// VerdictPotentialLivelock means a contiguous trail satisfying the
 	// conditions of Theorem 5.14 exists. Because the theorem is sufficient
 	// but not necessary, the trail may be spurious (no real livelock); the
 	// paper's sum-not-two {t21,t10,t02} set is the canonical example.
 	VerdictPotentialLivelock
-	// VerdictUnknown means search limits were exceeded; soundness demands
-	// the caller treat this as "possibly livelocking".
+	// VerdictUnknown means search limits were exceeded, or the search
+	// found no trail on a window Theorem 5.14 does not cover; soundness
+	// demands the caller treat this as "possibly livelocking".
 	VerdictUnknown
 )
 
@@ -77,18 +79,48 @@ type CheckOptions struct {
 	MaxTArcs int
 	// Skeleton, when non-nil and of the same shape as the protocol under
 	// check (see LTG.SameShape), donates its s-arc RCG so the check skips
-	// rebuilding the continuation relation — the service's per-family memos
-	// (corpus.FamilyMemos) share one skeleton across same-shape protocols
-	// this way. A skeleton of a different shape is ignored (the check falls
-	// back to building its own graph), so passing one is always sound.
+	// rebuilding the continuation relation — corpus.FamilyMemos shares one
+	// skeleton across same-shape protocols this way. A skeleton of a
+	// different shape is ignored (the check falls back to building its own
+	// graph), so passing one is always sound. No serving path sets it;
+	// only e2ebench's trace replay does, and the field goes with ROADMAP
+	// item 6's benchmark change.
 	Skeleton *LTG
 	// Memo, when non-nil, caches Theorem 5.14 subset verdicts across
 	// checks. It is consulted only when Skeleton is set and shape-
 	// compatible: verdicts are pure functions of (shape, t-arc subset), so
 	// a memo is only transferable between protocols that share the shape
 	// the skeleton vouches for. The verdict, witness, and subset count are
-	// identical with or without it (see FindTrailSubset).
+	// identical with or without it (see FindTrailSubset). Like Skeleton,
+	// only e2ebench's trace replay sets it; synthesis passes its own
+	// ltg.Memo to FindTrailSubset directly.
 	Memo *Memo
+}
+
+// TheoremScope returns nil when Theorem 5.14's livelock-freedom proof
+// covers p's window, and the reason it does not otherwise. The paper's
+// Section 5 lemmas are about a process that reads x_{r-1} and x_r. On a
+// wider left-only window [lo,0], lo <= -2, P_{r+2} also reads P_r's write:
+// Lemma 5.2 (an action enables only the right neighbour) fails, and so
+// does the reduction to contiguous livelocks built on it. A search that
+// finds no trail there proves nothing, while a trail it finds and
+// confirms is still a real livelock. Bidirectional windows keep their
+// contiguous-only proof (Report.ContiguousOnly).
+func TheoremScope(p *core.Protocol) error {
+	if lo, hi := p.Window(); hi == 0 && lo < -1 {
+		return fmt.Errorf("Theorem 5.14 proves livelock-freedom on left-only window [-1,0], not on [%d,0], where a write is read beyond the right neighbour and Lemma 5.2 fails", lo)
+	}
+	return nil
+}
+
+// free records a Free verdict that rests on Theorem 5.14, or withholds it
+// as Unknown, with the reason, on a window TheoremScope excludes.
+func free(p *core.Protocol, rep Report, reason string) Report {
+	rep.Verdict, rep.Reason = VerdictFree, reason
+	if err := TheoremScope(p); err != nil {
+		rep.Verdict, rep.Reason = VerdictUnknown, reason+", but "+err.Error()
+	}
+	return rep
 }
 
 // CheckLivelockFreedom applies the contrapositive of Theorem 5.14: it
@@ -162,13 +194,10 @@ func CheckLivelockFreedomCtx(ctx context.Context, p *core.Protocol, opts CheckOp
 		rep.Reason = TrailReason(sys, w)
 		return rep, nil
 	}
-	rep.Verdict = VerdictFree
 	if rep.ContiguousOnly {
-		rep.Reason = "no pseudo-livelocking t-arc subset forms a contiguous trail (bidirectional: contiguous livelocks only)"
-	} else {
-		rep.Reason = "no pseudo-livelocking t-arc subset forms a contiguous trail (Theorem 5.14)"
+		return free(p, rep, "no pseudo-livelocking t-arc subset forms a contiguous trail (bidirectional: contiguous livelocks only)"), nil
 	}
-	return rep, nil
+	return free(p, rep, "no pseudo-livelocking t-arc subset forms a contiguous trail (Theorem 5.14)"), nil
 }
 
 // CheckLivelockFreedomTransformed first applies the paper's Section 5
@@ -336,6 +365,9 @@ func (l *LTG) sRunEndpoints(start int, sources []bool, sArcs *graph.Digraph) []i
 //   - the full composite graph has a cycle.
 //
 // When all three hold the coarse check cannot decide and returns Unknown.
+// The first condition is window-independent: a process that moves forever
+// walks a cycle of its write projection. The other two rest on Theorem
+// 5.14, so on a window TheoremScope excludes they end in Unknown too.
 // all is the t-arc set under scrutiny (usually l's compiled transitions, but
 // an overlay works the same way). ctx is polled before every t-arc's s-run
 // search, which can visit every local state.
@@ -355,9 +387,7 @@ func (l *LTG) coarseCheck(ctx context.Context, rep Report, all []core.LocalTrans
 		}
 	}
 	if !anyIllegit {
-		rep.Verdict = VerdictFree
-		rep.Reason = "no t-arc endpoint is illegitimate, so no trail can visit an illegitimate state"
-		return rep, nil
+		return free(sys.Protocol(), rep, "no t-arc endpoint is illegitimate, so no trail can visit an illegitimate state"), nil
 	}
 	sources := make([]bool, sys.N())
 	for _, t := range all {
@@ -374,9 +404,7 @@ func (l *LTG) coarseCheck(ctx context.Context, rep Report, all []core.LocalTrans
 		}
 	}
 	if !comp.HasCycle() {
-		rep.Verdict = VerdictFree
-		rep.Reason = "the composite alternation graph is acyclic: no closed trail exists"
-		return rep, nil
+		return free(sys.Protocol(), rep, "the composite alternation graph is acyclic: no closed trail exists"), nil
 	}
 	rep.Verdict = VerdictUnknown
 	rep.Reason = fmt.Sprintf("t-arc count %d exceeds exact-search limit; coarse check inconclusive", len(all))

@@ -13,9 +13,9 @@ import (
 // Sweep is a deterministic protocol-generation recipe: a seed plus a list
 // of families, each a fixed protocol shape (domain, window, one shared
 // legitimacy predicate) spawning Variants randomly-tabled self-disabling
-// members. Every member of a family shares its shape, so the service's
-// per-family memos (corpus.FamilyMemos) hit across siblings; the result
-// pin tests and the end-to-end benchmark draw their batches from sweeps.
+// members. Every member of a family shares its shape (corpus.FamilyKey
+// names it); the result pin tests and the end-to-end benchmark draw their
+// batches from sweeps.
 //
 // The same (Seed, Families) always produces byte-identical spec sources.
 type Sweep struct {

@@ -252,7 +252,9 @@ func (r *RCG) UnrollCycle(cycle []core.LocalState, k int) ([]int, error) {
 // predicts a global deadlock outside I on a ring of size exactly K: i.e.
 // whether the deadlock-induced RCG has a closed walk of length K through an
 // illegitimate vertex. (Example 4.3's protocol deadlocks exactly on ring
-// sizes with such walks — multiples of 4 or 6.)
+// sizes with such walks: K = 4 and every K >= 6, since closed walks
+// through one vertex compose, not only the multiples of its elementary
+// cycles' lengths 4 and 6 — EXPERIMENTS.md, finding 1.)
 func (r *RCG) DeadlockRingSizes(minK, maxK int) map[int]bool {
 	out := make(map[int]bool)
 	if minK < 1 {

@@ -30,10 +30,8 @@ var (
 // becomes an ordinary job — same placement, cache, journal and quarantine
 // behavior as a single POST /v1/verify — so re-posting a batch runs only
 // the specs whose canonical text or options changed; the rest are result
-// cache hits. Same-family specs share the service's per-family
-// skeleton/memo state; on batches of sweep siblings it costs about 17 MiB
-// of peak RSS, and its effect on throughput is within run-to-run spread
-// (PERFORMANCE.md, "Per-family memo ablation").
+// cache hits. Same-family specs share nothing else: each job is verified
+// on its own.
 type BatchRequest struct {
 	Specs   []string       `json:"specs"`
 	Options RequestOptions `json:"options"`

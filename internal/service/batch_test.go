@@ -55,10 +55,6 @@ func TestSubmitBatchRunsAllSpecs(t *testing.T) {
 			t.Fatalf("item %d: %+v", i, item)
 		}
 	}
-	// Same-family jobs share the per-family verdict memo.
-	if hits, misses := svc.memos.Stats(); hits == 0 {
-		t.Fatalf("no shared-memo hits across %d same-family specs (misses=%d)", len(specs), misses)
-	}
 }
 
 func TestSubmitBatchPartialRejection(t *testing.T) {

@@ -12,12 +12,22 @@ import (
 	"sync"
 )
 
+// resultVersion versions what a cached Result means. It goes into every
+// cache key and is bumped whenever a verdict for the same spec and
+// options may change, so that results.log entries an older build wrote
+// are never served under the new meaning: a -cache-dir keeps them, and no
+// key reaches them again.
+//
+//  1. Theorem 5.14's livelock-freedom proof is withheld on left-only
+//     windows wider than [-1,0] (ltg.TheoremScope).
+const resultVersion = 1
+
 // cacheKey content-addresses a verification: the canonical dsl.Format
-// rendering of the spec plus the normalized option set. Anything that
-// cannot change the verdict — whitespace, comments, parenthesization, the
-// Workers hint, the per-request deadline — is erased from both inputs, so
-// textual variants of one protocol share a cache line and resource knobs
-// never fragment it.
+// rendering of the spec plus the normalized option set, under
+// resultVersion. Anything that cannot change the verdict — whitespace,
+// comments, parenthesization, the Workers hint, the per-request deadline
+// — is erased from both inputs, so textual variants of one protocol share
+// a cache line and resource knobs never fragment it.
 func cacheKey(canonicalSpec string, opts RequestOptions) string {
 	o := opts.Normalize()
 	// The hashed bytes are built in one buffer, on the stack for specs of
@@ -33,6 +43,7 @@ func cacheKey(canonicalSpec string, opts RequestOptions) string {
 	b = strconv.AppendInt(append(b, " fallback="...), int64(o.BoundedFallbackMaxK), 10)
 	b = strconv.AppendInt(append(b, " tarcs="...), int64(o.MaxTArcs), 10)
 	b = strconv.AppendBool(append(b, " inv="...), o.Invariant)
+	b = strconv.AppendInt(append(b, " v="...), resultVersion, 10)
 	sum := sha256.Sum256(b)
 	var key [2 * sha256.Size]byte
 	hex.Encode(key[:], sum[:])

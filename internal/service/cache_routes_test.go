@@ -2,10 +2,8 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
-	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -47,7 +45,6 @@ func TestCacheRoutesGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := cacheKey(dsl.Format(spec), opts)
-	quiet := log.New(io.Discard, "", 0)
 
 	// Each role returns the handler under test and the service whose
 	// Submit follows the forged writes.
@@ -77,20 +74,8 @@ func TestCacheRoutesGone(t *testing.T) {
 			}, true)
 			srv := httptest.NewServer(coord.Handler())
 			t.Cleanup(srv.Close)
-			node, err := NewWorkerNode(WorkerNodeConfig{Coordinator: srv.URL, ID: "w1", Log: quiet})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			exited := make(chan error, 1)
-			go func() { exited <- node.Run(ctx) }()
-			t.Cleanup(func() {
-				cancel()
-				if err := <-exited; err != nil {
-					t.Errorf("worker node: %v", err)
-				}
-			})
-			return node.Handler(), coord
+			t.Cleanup(startWorkerNode(t, srv.URL, "w1"))
+			return WorkerHandler("w1", srv.URL), coord
 		}},
 	}
 	for _, role := range roles {

@@ -90,22 +90,26 @@ func (s *Service) observeCluster(event, jobID, workerID string) {
 
 // Start launches the coordinator, the Config.Workers in-process workers,
 // and the single dispatcher goroutine that drains the job queue into
-// lease dispatches.
+// lease dispatches. Each in-process worker is a one-slot cluster.Worker
+// whose Coord is the coordinator itself: the loop a joined worker runs,
+// minus the HTTP hop.
 func (s *Service) Start() {
 	s.coord.Start()
 	var filter func(workerID, jobID string) bool
 	if cc := s.cfg.Cluster; cc != nil {
 		filter = cc.HeartbeatFilter
 	}
+	ctx, stop := context.WithCancel(context.Background())
+	s.stopWorkers = stop
 	for i := 0; i < s.cfg.Workers; i++ {
-		w := &cluster.LocalWorker{
+		w := &cluster.Worker{
 			Coord:           s.coord,
 			Info:            cluster.WorkerInfo{ID: fmt.Sprintf("%s-w%d", coordinatorID, i)},
 			Runner:          s.runner,
 			Before:          s.beforeVerify,
 			HeartbeatFilter: filter,
 		}
-		if err := w.Start(); err != nil {
+		if err := w.Start(ctx); err != nil {
 			s.cfg.Log.Printf("cluster: local worker %d: %v", i, err)
 			continue
 		}
@@ -127,8 +131,11 @@ func (s *Service) Start() {
 // canceled-replayable. Reporting first keeps an attempt's real outcome —
 // a recovered panic, say — from being overtaken by that cancel.
 func (s *Service) stopCluster() {
+	if s.stopWorkers != nil {
+		s.stopWorkers()
+	}
 	for _, w := range s.workers {
-		w.Stop()
+		w.Wait()
 	}
 	s.coord.Stop()
 }

@@ -12,24 +12,35 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"paramring/internal/cluster"
+	"paramring/internal/verify"
 )
 
-// startWorkerNode joins a real WorkerNode to the coordinator at url and
-// returns a stop function that waits for it to leave.
+// joinedWorker is the worker an lrserved -join process runs: the
+// coordinator at url reached over HTTP, and a runner of its own.
+func joinedWorker(url, id string, before func(cluster.Task) error) *cluster.Worker {
+	return &cluster.Worker{
+		Coord:  &cluster.Client{URL: url, Log: log.New(io.Discard, "", 0)},
+		Info:   cluster.WorkerInfo{ID: id},
+		Runner: &cluster.LocalRunner{Specs: verify.NewSpecCache(0)},
+		Before: before,
+	}
+}
+
+// startWorkerNode joins a worker to the coordinator at url as lrserved
+// -join does and returns a stop function that waits for it to leave.
 func startWorkerNode(t *testing.T, url, id string) (stop func()) {
 	t.Helper()
-	node, err := NewWorkerNode(WorkerNodeConfig{Coordinator: url, ID: id, Log: log.New(io.Discard, "", 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := joinedWorker(url, id, nil)
 	ctx, cancel := context.WithCancel(context.Background())
-	exited := make(chan error, 1)
-	go func() { exited <- node.Run(ctx) }()
+	if err := w.Start(ctx); err != nil {
+		cancel()
+		t.Fatalf("worker node %s: %v", id, err)
+	}
 	return func() {
 		cancel()
-		if err := <-exited; err != nil {
-			t.Errorf("worker node %s: %v", id, err)
-		}
+		w.Wait()
 	}
 }
 

@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"paramring/internal/cluster"
-	"paramring/internal/corpus"
-	"paramring/internal/verify"
 )
 
 // Crash/restart coverage for the cluster path: coordinator restart
@@ -44,28 +42,21 @@ func remoteHolderConfig(dir string, ttl, hb time.Duration) Config {
 	return cfg
 }
 
-// startRemoteHolder joins a cluster.Remote to svc over httptest and
-// returns a function that stops it. before runs ahead of each task it
-// pulls, inside the recover boundary.
+// startRemoteHolder joins a worker to svc over httptest, as lrserved
+// -join does, and returns a function that stops it. before runs ahead of
+// each task it pulls, inside the recover boundary.
 func startRemoteHolder(t *testing.T, svc *Service, before func(cluster.Task) error) (stop func()) {
 	t.Helper()
 	srv := httptest.NewServer(svc.Handler())
-	rw := &cluster.Remote{
-		Coordinator: srv.URL,
-		Info:        cluster.WorkerInfo{ID: "remote-holder"},
-		Runner:      &cluster.LocalRunner{Specs: verify.NewSpecCache(0), Memos: corpus.NewFamilyMemos(0)},
-		Before:      before,
-		PollWait:    50 * time.Millisecond,
-	}
+	rw := joinedWorker(srv.URL, "remote-holder", before)
 	ctx, cancel := context.WithCancel(context.Background())
-	exited := make(chan struct{})
-	go func() {
-		rw.Run(ctx)
-		close(exited)
-	}()
+	if err := rw.Start(ctx); err != nil {
+		cancel()
+		t.Fatal(err)
+	}
 	return func() {
 		cancel()
-		<-exited
+		rw.Wait()
 		srv.Close()
 	}
 }

@@ -111,13 +111,15 @@ func referenceDecode(body []byte) (Request, error) {
 }
 
 // referenceCacheKey is cacheKey as it was before it was built in one
-// buffer: the content addresses already in results.log files.
+// buffer, at result version 1: the content addresses results.log files
+// hold. A version bump changes every key on purpose and updates this
+// reference with it.
 func referenceCacheKey(canonicalSpec string, opts RequestOptions) string {
 	o := opts.Normalize()
 	h := sha256.New()
 	h.Write([]byte(canonicalSpec))
 	h.Write([]byte{0})
-	fmt.Fprintf(h, "confirm=%d xval=%d fallback=%d tarcs=%d inv=%t",
+	fmt.Fprintf(h, "confirm=%d xval=%d fallback=%d tarcs=%d inv=%t v=1",
 		o.ConfirmMaxK, o.CrossValidateMaxK, o.BoundedFallbackMaxK, o.MaxTArcs, o.Invariant)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -43,6 +43,22 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// WorkerHandler is the HTTP surface of an lrserved -join worker: liveness
+// on /healthz and nothing else. The worker keeps no queue and no result
+// cache, so no route can plant or read a verdict.
+func WorkerHandler(workerID, coordinator string) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]any{
+			"status":      "ok",
+			"role":        "worker",
+			"worker_id":   workerID,
+			"coordinator": coordinator,
+		})
+	})
+	return mux
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	jsonWriters.Get().(*jsonWriter).write(w, status, v)
 }

@@ -57,7 +57,6 @@ import (
 	"time"
 
 	"paramring/internal/cluster"
-	"paramring/internal/corpus"
 	"paramring/internal/verify"
 )
 
@@ -205,17 +204,18 @@ type Service struct {
 	cfg     Config
 	metrics *Metrics
 	cache   *resultCache
-	specs   *verify.SpecCache   // compiled-spec cache in front of the DSL
-	memos   *corpus.FamilyMemos // per-family skeleton LTG + verdict memo, shared across jobs
-	wal     *journal            // nil without CacheDir
+	specs   *verify.SpecCache // compiled-spec cache in front of the DSL
+	wal     *journal          // nil without CacheDir
 
 	// runner executes every in-process attempt.
 	runner cluster.Runner
 
 	// The lease coordinator every job is dispatched through, and the
-	// in-process workers Start registers with it.
-	coord   *cluster.Coordinator
-	workers []*cluster.LocalWorker
+	// in-process workers Start registers with it; stopWorkers ends their
+	// loops.
+	coord       *cluster.Coordinator
+	workers     []*cluster.Worker
+	stopWorkers context.CancelFunc
 
 	queue     chan *Job // the dispatcher's input
 	runCtx    context.Context
@@ -298,7 +298,6 @@ func New(cfg Config) (*Service, error) {
 		metrics:      NewMetrics(),
 		cache:        cache,
 		specs:        verify.NewSpecCache(cfg.SpecCacheSize),
-		memos:        corpus.NewFamilyMemos(0),
 		wal:          wal,
 		queue:        make(chan *Job, queueCap),
 		runCtx:       ctx,
@@ -307,7 +306,7 @@ func New(cfg Config) (*Service, error) {
 		retries:      make(map[string]*time.Timer),
 		cacheErrSeen: make(map[string]bool),
 	}
-	s.runner = &cluster.LocalRunner{Specs: s.specs, Memos: s.memos}
+	s.runner = &cluster.LocalRunner{Specs: s.specs}
 	if wal != nil {
 		wal.metrics = s.metrics
 		for _, err := range wal.skipped {

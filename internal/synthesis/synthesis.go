@@ -173,6 +173,11 @@ func Synthesize(base *core.Protocol, opts Options) (*Result, error) {
 	if !sys.IsSelfDisabling() {
 		return nil, fmt.Errorf("synthesis: base protocol %q has self-enabling transitions; transform with SelfDisable first", base.Name())
 	}
+	// Candidates are accepted on Theorem 5.14's word, which proves nothing
+	// on a window it does not cover.
+	if err := ltg.TheoremScope(base); err != nil {
+		return nil, fmt.Errorf("synthesis: base protocol %q: %w", base.Name(), err)
+	}
 
 	// Step 1: local deadlocks and the induced RCG.
 	r := rcg.Build(sys)

@@ -1,11 +1,13 @@
 package verify
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"paramring/internal/core"
 	"paramring/internal/explicit"
 	"paramring/internal/protocols"
 	"paramring/internal/protogen"
@@ -105,33 +107,68 @@ func TestStatusString(t *testing.T) {
 }
 
 // The facade must never over-claim: whenever it reports SelfStabilizing,
-// exhaustive checking at sampled ring sizes must agree.
+// exhaustive checking at sampled ring sizes must agree. Every window shape
+// the lanes treat differently is drawn 1,500 times, with the invariant
+// lane on. Before Theorem 5.14 was confined to window [-1,0], window
+// [-2,0] over-claimed about once in 375 draws, which 1,500 draws of a
+// stream miss with probability 2%.
 func TestProtocolNeverOverClaimsRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(321))
 	claimed := 0
-	for trial := 0; trial < 250; trial++ {
-		p := protogen.Random(rng, protogen.Options{SelfDisabling: true, MovePercent: 60})
-		rep, err := Protocol(p, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.SelfStabilizing {
-			continue
-		}
-		claimed++
-		for k := 2; k <= 6; k++ {
-			in, err := explicit.NewInstance(p, k)
+	for _, w := range [][2]int{{-1, 0}, {-2, 0}, {-3, 0}, {-1, 1}, {0, 1}} {
+		rng := rand.New(rand.NewSource(321))
+		for trial := 0; trial < 1500; trial++ {
+			p := protogen.Random(rng, protogen.Options{Domain: 2, Lo: w[0], Hi: w[1], SelfDisabling: true, MovePercent: 50})
+			rep, err := Protocol(p, Options{Invariant: true, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cr := in.CheckStrongConvergence()
-			if !cr.Converges {
-				t.Fatalf("trial %d: facade claims stabilization but K=%d fails: %+v", trial, k, cr)
+			if !rep.SelfStabilizing {
+				continue
+			}
+			claimed++
+			for k := 2; k <= 6; k++ {
+				in, err := explicit.NewInstance(p, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cr := in.CheckStrongConvergence()
+				if !cr.Converges {
+					t.Fatalf("window %v trial %d: facade claims stabilization but K=%d fails: %+v", w, trial, k, cr)
+				}
 			}
 		}
 	}
 	if claimed < 15 {
 		t.Fatalf("too few stabilization claims to be meaningful: %d", claimed)
+	}
+}
+
+// TestWideLeftWindowNoTheoremProof: Theorem 5.14 proves nothing on a
+// left-only window wider than [-1,0]. Draw 125 of the d=2 [-2,0] stream
+// (transitions 100 -> 101 and 001 -> 000) and draw 1703 of the [-3,0]
+// stream, both counted from 0, livelock, yet the trail search finds no
+// trail in either. Under lrserved's default request the facade must not
+// call them self-stabilizing.
+func TestWideLeftWindowNoTheoremProof(t *testing.T) {
+	for _, c := range []struct{ lo, draw, livelockK int }{{-2, 125, 5}, {-3, 1703, 4}} {
+		rng := rand.New(rand.NewSource(1))
+		var p *core.Protocol
+		for i := 0; i <= c.draw; i++ {
+			p = protogen.Random(rng, protogen.Options{Domain: 2, Lo: c.lo, Hi: 0, SelfDisabling: true, MovePercent: 50})
+		}
+		if k, err := explicit.SmallestLivelockK(context.Background(), p, 7); err != nil || k != c.livelockK {
+			t.Fatalf("window [%d,0] draw %d: smallest livelocking K = %d (%v), want %d", c.lo, c.draw, k, err, c.livelockK)
+		}
+		rep, err := Check(p, RequestOptions{}.Normalize().EngineOptions(1, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.SelfStabilizing || rep.Livelock == Proved {
+			t.Errorf("window [%d,0] draw %d: livelock %v, self-stabilizing %v; it livelocks at K=%d", c.lo, c.draw, rep.Livelock, rep.SelfStabilizing, c.livelockK)
+		}
+		if rep.Livelock != Inconclusive || !strings.Contains(rep.LivelockDetail.Reason, "Lemma 5.2") {
+			t.Errorf("window [%d,0] draw %d: livelock %v, reason %q; want inconclusive with the reason", c.lo, c.draw, rep.Livelock, rep.LivelockDetail.Reason)
+		}
 	}
 }
 
