@@ -111,7 +111,7 @@ func BenchmarkFigure9to12Synthesis(b *testing.B) {
 // BenchmarkTable1LocalVsGlobal is the headline: the Local sub-benchmarks do
 // a complete all-K verification on the 9-state local space; the Global/K=n
 // ones model-check one instance exhaustively and scale as 3^n. The Global
-// side runs both engines — seq pins the explicit checker to one worker,
+// side runs the engine twice — seq pins the explicit checker to one worker,
 // par follows GOMAXPROCS — so `-cpu 1,2,4,8` shows the parallel scaling
 // shape on top of the exponential sweep. The instances run under the
 // engine's default state ceiling (1<<28 with the packed-bitset tables, up
@@ -141,7 +141,7 @@ func BenchmarkTable1LocalVsGlobal(b *testing.B) {
 			b.ReportMetric(float64(in.TableBytes())/float64(in.NumStates()), "table-B/state")
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if !in.CheckStrongConvergenceSeq().Converges {
+				if !in.CheckStrongConvergence().Converges {
 					b.Fatal("unexpected verdict")
 				}
 			}

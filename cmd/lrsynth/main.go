@@ -52,8 +52,8 @@ func main() {
 			fmt.Println(s)
 		}
 		st := res.Stats
-		fmt.Printf("\nsearch: %d candidate(s), %d evaluated, %d pruned in %d subtree cut(s), %d deadlock-rejected, memo %d hit(s) / %d miss(es), %d worker(s)\n",
-			st.Candidates, st.Evaluated, st.PrunedAssignments, st.PrunedSubtrees, st.DeadlockRejected, st.MemoHits, st.MemoMisses, st.Workers)
+		fmt.Printf("\nsearch: %d candidate(s), %d evaluated, %d pruned in %d subtree cut(s), %d deadlock-rejected, %d worker(s)\n",
+			st.Candidates, st.Evaluated, st.PrunedAssignments, st.PrunedSubtrees, st.DeadlockRejected, st.Workers)
 	}
 	if err != nil {
 		if errors.Is(err, synthesis.ErrNoSolution) {

@@ -24,12 +24,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 
 	"paramring/internal/cli"
 	"paramring/internal/core"
@@ -269,60 +269,37 @@ func printLaneTable(rep *verify.Report, laneSet map[string]bool, xval int) {
 	fmt.Printf("overall: deadlock-freedom %v, livelock-freedom %v\n", rep.Deadlock, rep.Livelock)
 }
 
-// crossValidate model-checks every ring size 2..maxK with the explicit
-// oracle, fanning the per-K instances out across workers and printing the
-// results as one K-ordered table (so the output is independent of
-// scheduling). The table-KiB column is the resident per-state table of each
-// instance (one bit per global state), so the cost of pushing K higher is
-// visible next to the state counts.
+// crossValidate prints the explicit oracle's answers for every ring size
+// 2..maxK as one K-ordered table, from one CheckRings sweep over rotation
+// orbits; the illegitimate-deadlock counts come from the transfer matrix
+// (rcg.CountIllegitimateDeadlocks), and read "-" for a protocol with more
+// local states than it takes. As in CheckStrongConvergence, a ring
+// size with an illegitimate deadlock reports no livelock. The table-KiB
+// column is the resident per-state table of an instance of that size (one
+// bit per global state), so the cost of pushing K higher is visible next
+// to the state counts.
 func crossValidate(p *core.Protocol, maxK, workers int, maxStates uint64) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	type row struct {
-		states     uint64
-		tableBytes uint64
-		illegit    int
-		converge   bool
-		livelock   bool
-		err        error
+	opts := []explicit.Option{explicit.WithWorkers(workers)}
+	if maxStates > 0 {
+		opts = append(opts, explicit.WithMaxStates(maxStates))
 	}
-	rows := make([]row, maxK+1)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for k := 2; k <= maxK; k++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			opts := []explicit.Option{explicit.WithWorkers(workers)}
-			if maxStates > 0 {
-				opts = append(opts, explicit.WithMaxStates(maxStates))
-			}
-			in, err := explicit.NewInstance(p, k, opts...)
-			if err != nil {
-				rows[k].err = err
-				return
-			}
-			rep := in.CheckStrongConvergence()
-			rows[k] = row{
-				states:     in.NumStates(),
-				tableBytes: in.TableBytes(),
-				illegit:    len(in.IllegitimateDeadlocks()),
-				converge:   rep.Converges,
-				livelock:   rep.LivelockWitness != nil,
-			}
-		}(k)
+	checks, err := explicit.CheckRings(context.Background(), p, maxK, true, opts...)
+	if err != nil {
+		return fmt.Errorf("K=%d: %w", 2+len(checks), err)
 	}
-	wg.Wait()
+	r := rcg.Build(p.Compile())
 	fmt.Printf("\nexplicit cross-validation (K=2..%d, %d workers):\n", maxK, workers)
 	tb := trace.NewTable("K", "global states", "table KiB", "illegitimate deadlocks", "livelock", "strongly converges")
-	for k := 2; k <= maxK; k++ {
-		if rows[k].err != nil {
-			return fmt.Errorf("K=%d: %w", k, rows[k].err)
+	for _, rc := range checks {
+		count := "-" // past the transfer matrix's local-state limit
+		if c, err := r.CountIllegitimateDeadlocks(rc.K); err == nil {
+			count = c.String()
 		}
-		tb.AddRow(k, rows[k].states, (rows[k].tableBytes+1023)/1024, rows[k].illegit, rows[k].livelock, rows[k].converge)
+		livelock := rc.Livelock && !rc.Deadlock
+		tb.AddRow(rc.K, rc.States, (rc.TableBytes+1023)/1024, count, livelock, !rc.Deadlock && !rc.Livelock)
 	}
 	fmt.Print(tb.String())
 	return nil

@@ -27,7 +27,7 @@ func main() {
 
 	fmt.Println("=== combined verdicts (local theorems + witness confirmation) ===")
 	for _, name := range names {
-		rep, err := verify.Protocol(zoo[name], verify.Options{})
+		rep, err := verify.Check(zoo[name], verify.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -276,7 +276,7 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 	}), nil)
 
 	// Table 1, global side: exhaustive model checking of one instance per
-	// K, sequential and parallel engines — 3^K states.
+	// K, at one worker and at GOMAXPROCS workers — 3^K states.
 	for k := 4; k <= cfg.MaxK; k += 2 {
 		seq, err := explicit.NewInstance(p, k, explicit.WithWorkers(1))
 		if err != nil {
@@ -288,7 +288,7 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 		}
 		r := Measure(cfg.Benchtime, func(n int) {
 			for i := 0; i < n; i++ {
-				if !seq.CheckStrongConvergenceSeq().Converges {
+				if !seq.CheckStrongConvergence().Converges {
 					panic("unexpected verdict")
 				}
 			}
@@ -354,7 +354,7 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 	// section tracks. decode is the incremental odometer walk on its own
 	// (valuation + window codes per state, the floor every whole-space pass
 	// pays), successors adds flat-table successor generation on top, and
-	// fullcheck is the complete sequential convergence check over the same
+	// fullcheck is the complete one-worker convergence check over the same
 	// instance — so the three states/sec figures locate any regression
 	// inside the scan loop rather than averaged over a whole check.
 	sk := min(10, cfg.MaxK)
@@ -369,7 +369,7 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 		{"decode", func() { scanSink += scan.DecodeSweep() }},
 		{"successors", func() { scanSink += scan.SuccessorSweep() }},
 		{"fullcheck", func() {
-			if !scan.CheckStrongConvergenceSeq().Converges {
+			if !scan.CheckStrongConvergence().Converges {
 				panic("unexpected verdict")
 			}
 		}},
@@ -443,7 +443,7 @@ func statesPerSec(states uint64, r Result) float64 {
 
 // SynthSuite measures the synthesis side: the Section 6 search engine grid
 // (flat enumeration vs sequential branch-and-bound vs parallel, per case
-// study, with pruning and memoization counters) and the Table-4 STSyn-style
+// study, with candidate and pruning counters) and the Table-4 STSyn-style
 // global baseline.
 func SynthSuite(cfg Config) (*Snapshot, error) {
 	cfg = cfg.withDefaults()
@@ -453,8 +453,8 @@ func SynthSuite(cfg Config) (*Snapshot, error) {
 	// The search-engine grid: every case runs the reference flat
 	// enumeration, the sequential branch-and-bound walk, and the parallel
 	// walk; all three produce the identical Result (the engine's
-	// determinism contract), so the timings isolate what pruning,
-	// memoization and workers buy.
+	// determinism contract), so the timings isolate what pruning and
+	// workers buy.
 	modes := []struct {
 		name string
 		opts synthesis.Options
@@ -490,9 +490,6 @@ func SynthSuite(cfg Config) (*Snapshot, error) {
 				"candidates":         float64(st.Candidates),
 				"evaluated":          float64(st.Evaluated),
 				"pruned_assignments": float64(st.PrunedAssignments),
-			}
-			if tot := st.MemoHits + st.MemoMisses; tot > 0 {
-				extra["memo_hit_rate"] = float64(st.MemoHits) / float64(tot)
 			}
 			s.Add(fmt.Sprintf("synthesis/%s/%s", name, m.name), r, extra)
 		}

@@ -80,6 +80,76 @@ func TestLrverifyEndToEnd(t *testing.T) {
 	run(t, "lrverify", false, "-protocol", "not-a-protocol")
 }
 
+// TestLrverifyCrossValidationTable pins lrverify -xk's per-K table: one
+// row per K = 2..6 of global states, table KiB, illegitimate deadlocks,
+// livelock (reported only where no illegitimate deadlock is) and strong
+// convergence — on matchingA, which converges at every K, matchingB, which
+// deadlocks at K = 4 and 6, gouda-acharya, which livelocks from K = 3, and
+// a spec that both deadlocks and livelocks from K = 3, where the livelock
+// column reads false.
+func TestLrverifyCrossValidationTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	both := filepath.Join(t.TempDir(), "stuck-twos.gc")
+	spec := "protocol stuck-twos\ndomain 3\nwindow -1 0\nlegit x[-1] == x[0]\n" +
+		"action copy: x[-1] != x[0] && x[0] != 2 && x[-1] != 2 -> x[0] := x[-1]\n"
+	if err := os.WriteFile(both, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		rows []string
+	}{
+		{[]string{"-protocol", "matchingA"}, []string{
+			"2 9 1 0 false true",
+			"3 27 1 0 false true",
+			"4 81 1 0 false true",
+			"5 243 1 0 false true",
+			"6 729 1 0 false true",
+		}},
+		{[]string{"-protocol", "matchingB"}, []string{
+			"2 9 1 0 false true",
+			"3 27 1 0 false true",
+			"4 81 1 4 false false",
+			"5 243 1 0 false true",
+			"6 729 1 6 false false",
+		}},
+		{[]string{"-protocol", "gouda-acharya"}, []string{
+			"2 9 1 0 false true",
+			"3 27 1 0 true false",
+			"4 81 1 0 true false",
+			"5 243 1 0 true false",
+			"6 729 1 0 true false",
+		}},
+		{[]string{"-file", both}, []string{
+			"2 9 1 4 false false",
+			"3 27 1 12 false false",
+			"4 81 1 32 false false",
+			"5 243 1 80 false false",
+			"6 729 1 196 false false",
+		}},
+	} {
+		out := run(t, "lrverify", true, append(tc.args, "-xk", "6", "-workers", "2")...)
+		_, table, ok := strings.Cut(out, "explicit cross-validation (K=2..6, 2 workers):\n")
+		if !ok {
+			t.Fatalf("%v: no cross-validation table in\n%s", tc.args, out)
+		}
+		lines := strings.Split(table, "\n")
+		if len(lines) < 2+len(tc.rows) {
+			t.Fatalf("%v: short table\n%s", tc.args, table)
+		}
+		for i, want := range tc.rows {
+			if got := strings.Join(strings.Fields(lines[2+i]), " "); got != want {
+				t.Fatalf("%v: row %d is %q, want %q\n%s", tc.args, i, got, want, table)
+			}
+		}
+		if next := strings.TrimSpace(lines[2+len(tc.rows)]); next != "" {
+			t.Fatalf("%v: row after K=6: %q", tc.args, next)
+		}
+	}
+}
+
 func TestLrsynthEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")

@@ -56,7 +56,9 @@ import (
 // retry machinery backs off and re-dispatches, and repeated failures end
 // in quarantine. ErrUnknownWorker tells a remote worker to re-join (its
 // registration was dropped after a lease expiry); ErrLeaseGone tells it
-// the lease it is renewing or completing no longer exists.
+// the lease it is renewing or completing no longer exists. ErrIDInUse
+// refuses a join under the id of a worker of the other kind, in-process
+// or joined.
 var (
 	ErrNoWorker      = errors.New("no worker fits the task")
 	ErrLeaseExpired  = errors.New("lease expired")
@@ -64,6 +66,7 @@ var (
 	ErrUnknownWorker = errors.New("unknown worker (re-join required)")
 	ErrLeaseGone     = errors.New("lease gone")
 	ErrStopped       = errors.New("coordinator stopped")
+	ErrIDInUse       = errors.New("worker id in use by a worker of the other kind")
 )
 
 // WorkerInfo is a worker's registration: identity, the advertised

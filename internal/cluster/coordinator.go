@@ -212,6 +212,10 @@ func (c *Coordinator) Join(_ context.Context, info WorkerInfo) (time.Duration, e
 	return c.cfg.HeartbeatInterval, c.register(info, false)
 }
 
+// register adds or refreshes a worker of one kind. An id registered by a
+// worker of the other kind is refused with ErrIDInUse, so a joined worker
+// can neither rewrite an in-process worker's registration nor take over
+// its leases.
 func (c *Coordinator) register(info WorkerInfo, remote bool) error {
 	if info.ID == "" {
 		return fmt.Errorf("cluster: join: empty worker id")
@@ -222,6 +226,10 @@ func (c *Coordinator) register(info WorkerInfo, remote bool) error {
 		return ErrStopped
 	}
 	m, known := c.workers[info.ID]
+	if known && m.remote != remote {
+		c.mu.Unlock()
+		return ErrIDInUse
+	}
 	if known {
 		m.info = info
 		m.lastSeen = time.Now()
@@ -255,6 +263,16 @@ func (c *Coordinator) Leave(id string) {
 	if ev := c.cfg.Events.WorkerLost; known && ev != nil {
 		ev(id, "left")
 	}
+}
+
+// inProcess reports whether id names an in-process worker. The HTTP
+// handlers answer a request naming one as for an unknown worker: only a
+// joined worker speaks the protocol over HTTP.
+func (c *Coordinator) inProcess(id string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m, ok := c.workers[id]
+	return ok && !m.remote
 }
 
 // Workers returns a point-in-time view of the registry, sorted by id.

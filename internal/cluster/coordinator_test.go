@@ -3,8 +3,10 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -604,5 +606,68 @@ func TestRemotePollRefusalRunsNothing(t *testing.T) {
 		if n, m := before.Load(), runner.calls.Load(); n != 0 || m != 0 {
 			t.Errorf("poll answered %d: ran %d before hooks and %d tasks, want none", status, n, m)
 		}
+	}
+}
+
+// TestJoinedWorkerCannotTakeInProcessID: a join over HTTP under an
+// in-process worker's id is refused 409 and leaves that registration as it
+// was, and a poll, heartbeat or complete naming the id over HTTP is
+// answered 410 without handing out, renewing or completing the in-process
+// worker's lease, which its own worker still pulls.
+func TestJoinedWorkerCannotTakeInProcessID(t *testing.T) {
+	c := NewCoordinator(Config{LeaseTTL: time.Hour})
+	defer c.Stop()
+	ctx := context.Background()
+	local := WorkerInfo{ID: "coordinator-w0", Slots: 1}
+	if _, err := c.Join(ctx, local); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan doneRec, 1)
+	if err := c.Dispatch(ctx, testTask("j1"), collectDone(done)); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	held := c.leases["j1"]
+	token, expiry := held.token, held.expiry
+	c.mu.Unlock()
+
+	mux := newTestMux(c)
+	post := func(route, body string) int {
+		rctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+		defer cancel()
+		req := httptest.NewRequest(http.MethodPost, "/cluster/v1/"+route, strings.NewReader(body)).WithContext(rctx)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	if code := post("join", `{"id": "coordinator-w0", "slots": 50, "mem_budget_bytes": 1}`); code != http.StatusConflict {
+		t.Fatalf("join under an in-process id: status %d, want 409", code)
+	}
+	if got := c.Workers(); len(got) != 1 || got[0] != local {
+		t.Fatalf("registry after the refused join: %+v, want [%+v]", got, local)
+	}
+	for _, r := range []struct{ route, body string }{
+		{"poll", `{"worker_id": "coordinator-w0", "wait_ms": 20}`},
+		{"heartbeat", fmt.Sprintf(`{"worker_id": "coordinator-w0", "job_id": "j1", "token": %d}`, token)},
+		{"complete", fmt.Sprintf(`{"worker_id": "coordinator-w0", "job_id": "j1", "token": %d, "result": {"protocol": "forged"}}`, token)},
+	} {
+		if code := post(r.route, r.body); code != http.StatusGone {
+			t.Fatalf("%s naming an in-process worker: status %d, want 410", r.route, code)
+		}
+	}
+	c.mu.Lock()
+	l, m := c.leases["j1"], c.workers["coordinator-w0"]
+	untouched := l == held && l.token == token && l.expiry.Equal(expiry) && !m.remote && len(m.queue) == 1
+	c.mu.Unlock()
+	if !untouched {
+		t.Fatal("a request over HTTP changed the in-process worker's lease or registration")
+	}
+	select {
+	case d := <-done:
+		t.Fatalf("the in-process lease was completed over HTTP: %+v", d)
+	default:
+	}
+	if task, tok, _, err := c.Next(ctx, "coordinator-w0"); err != nil || task.JobID != "j1" || tok != token {
+		t.Fatalf("in-process pull: %s token %d, %v; want j1 token %d", task.JobID, tok, err, token)
 	}
 }

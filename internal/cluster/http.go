@@ -17,15 +17,18 @@ import (
 
 // Wire protocol, mounted under /cluster/v1/ on the coordinator:
 //
-//	POST /cluster/v1/join       WorkerInfo            -> joinResponse
+//	POST /cluster/v1/join       WorkerInfo            -> joinResponse | 409
 //	POST /cluster/v1/poll       pollRequest           -> assignment | 204 | 410
 //	POST /cluster/v1/heartbeat  heartbeatRequest      -> 200 | 404 | 410
-//	POST /cluster/v1/complete   completeRequest       -> completeResponse
+//	POST /cluster/v1/complete   completeRequest       -> completeResponse | 410
 //	POST /cluster/v1/leave      leaveRequest          -> 200
 //
 // 410 Gone always means "re-join": the worker's registration was dropped
 // after a lease expiry. 404 on heartbeat means the specific lease is gone
 // (the job has moved on) — abandon the attempt, keep the registration.
+// 409 Conflict refuses a join under an in-process worker's id, and a poll,
+// heartbeat or complete naming an in-process worker is answered 410, as
+// for an unknown worker, without touching its leases or registration.
 // The assignment's fencing token must be echoed on every heartbeat and
 // the complete for that attempt; a stale token is a late result.
 
@@ -139,6 +142,10 @@ func Mount(mux *http.ServeMux, c *Coordinator) {
 		if !decodeClusterJSON(w, r, &req) {
 			return
 		}
+		if c.inProcess(req.WorkerID) {
+			clusterError(w, ErrUnknownWorker)
+			return
+		}
 		wait := defaultPollWait
 		if req.WaitMS > 0 {
 			wait = time.Duration(min(req.WaitMS, maxPollWait.Milliseconds())) * time.Millisecond
@@ -162,6 +169,10 @@ func Mount(mux *http.ServeMux, c *Coordinator) {
 		if !decodeClusterJSON(w, r, &req) {
 			return
 		}
+		if c.inProcess(req.WorkerID) {
+			clusterError(w, ErrUnknownWorker)
+			return
+		}
 		if err := c.Heartbeat(r.Context(), req.WorkerID, req.JobID, req.Token); err != nil {
 			clusterError(w, err)
 			return
@@ -171,6 +182,10 @@ func Mount(mux *http.ServeMux, c *Coordinator) {
 	mux.HandleFunc("POST /cluster/v1/complete", func(w http.ResponseWriter, r *http.Request) {
 		var req completeRequest
 		if !decodeClusterJSON(w, r, &req) {
+			return
+		}
+		if c.inProcess(req.WorkerID) {
+			clusterError(w, ErrUnknownWorker)
 			return
 		}
 		werr := wireError(req.Kind, req.Error)
@@ -220,6 +235,8 @@ func clusterError(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 	case errors.Is(err, ErrStopped):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	case errors.Is(err, ErrIDInUse):
+		http.Error(w, err.Error(), http.StatusConflict)
 	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
@@ -227,7 +244,8 @@ func clusterError(w http.ResponseWriter, err error) {
 
 // Client reaches a coordinator over /cluster/v1/*: the Coord of an
 // lrserved -join worker. It keeps the joined worker's semantics inside its
-// calls. Join retries with capped backoff until the coordinator answers.
+// calls. Join retries with capped backoff until the coordinator answers,
+// and gives up with ErrIDInUse on a 409.
 // Next long-polls and waits 1 s after a refused poll, so a joined worker
 // outlives a coordinator restart, and it hands the attempt the worker's
 // own context: the worker's shutdown cancels the attempt, and Complete,
@@ -256,6 +274,9 @@ func (c *Client) Join(ctx context.Context, info WorkerInfo) (time.Duration, erro
 				return time.Second, nil
 			}
 			return time.Duration(resp.HeartbeatMS) * time.Millisecond, nil
+		}
+		if err == nil && status == http.StatusConflict {
+			return 0, fmt.Errorf("cluster: join as %q: %w", info.ID, ErrIDInUse)
 		}
 		if err == nil {
 			err = fmt.Errorf("HTTP %d", status)

@@ -76,9 +76,10 @@ func BenchmarkSuccessors(b *testing.B) {
 // benchSink defeats dead-code elimination of the measured loops.
 var benchSink uint64
 
-// BenchmarkStrongConvergence compares the sequential reference against the
-// frontier-parallel engine; run with -cpu 1,2,4,8 to see the scaling shape
-// (the seq side pins workers to 1, the par side follows GOMAXPROCS).
+// BenchmarkStrongConvergence compares one worker against GOMAXPROCS
+// workers; run with -cpu 1,2,4,8 to see the scaling shape (the seq side
+// pins WithWorkers(1), one inline chunk per scan, the par side follows
+// GOMAXPROCS).
 func BenchmarkStrongConvergence(b *testing.B) {
 	p := protocols.AgreementOneSided("t01")
 	for _, k := range []int{6, 10, 14} {
@@ -86,7 +87,7 @@ func BenchmarkStrongConvergence(b *testing.B) {
 			in := MustNewInstance(p, k, WithMaxStates(1<<25), WithWorkers(1))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if !in.CheckStrongConvergenceSeq().Converges {
+				if !in.CheckStrongConvergence().Converges {
 					b.Fatal("verdict changed")
 				}
 			}
@@ -126,12 +127,7 @@ func BenchmarkRaisedCeiling(b *testing.B) {
 				if i == 0 {
 					b.ReportMetric(float64(in.TableBytes())/float64(in.NumStates()), "table-B/state")
 				}
-				var rep ConvergenceReport
-				if mode.workers == 1 {
-					rep = in.CheckStrongConvergenceSeq()
-				} else {
-					rep = in.CheckStrongConvergence()
-				}
+				rep := in.CheckStrongConvergence()
 				if rep.Converges || rep.DeadlockWitness == nil || *rep.DeadlockWitness != 0 {
 					b.Fatal("verdict changed at the raised ceiling")
 				}
@@ -140,8 +136,9 @@ func BenchmarkRaisedCeiling(b *testing.B) {
 	}
 }
 
-// BenchmarkRecoveryRadiusParallel times the CAS-bitset backward BFS against
-// the sequential FIFO BFS on the same instance size.
+// BenchmarkRecoveryRadiusParallel times the level-synchronous backward BFS
+// at one worker (seq) and at GOMAXPROCS workers (par) on the same
+// instance size.
 func BenchmarkRecoveryRadiusParallel(b *testing.B) {
 	for _, mode := range []struct {
 		name    string

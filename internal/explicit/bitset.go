@@ -11,9 +11,9 @@ import (
 // instead of the byte a []bool spends, which is what allows
 // DefaultMaxStates to sit at 1<<28: the dominant resident table for a
 // quarter-billion-state instance is 32 MiB, not 256 MiB. Word-level 64-bit
-// operations keep the sequential paths branch-cheap, and the atomic
-// TestAndSet/GetAtomic pair serves the parallel paths (level-synchronous
-// BFS claims, concurrent chunk fills) without locks.
+// operations keep the scans branch-cheap, and the atomic
+// TestAndSet/GetAtomic pair serves the level-synchronous BFS claims of
+// concurrent chunks without locks.
 //
 // Concurrency contract: Set/Clear/Get are plain word operations and must
 // not race on the same 64-state word; the chunk partition (chunkFor) is

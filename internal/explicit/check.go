@@ -3,7 +3,6 @@ package explicit
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime/trace"
 )
 
@@ -14,53 +13,16 @@ import (
 const cancelCheckMask = 4095
 
 // Deadlocks returns all global deadlock states (no enabled process), in
-// increasing state-code order. With WithWorkers > 1 the scan is sharded
-// across contiguous code ranges; the merged order is identical. Both sides
-// ride the odometer: the deadlock test reads one enabled bit per process,
-// indexed by incrementally maintained window codes.
-func (in *Instance) Deadlocks() []uint64 {
-	if in.workers > 1 {
-		return in.collectStatesParallel(func(id uint64, sc *scratch) bool {
-			return in.deadlockAt(sc)
-		})
-	}
-	var out []uint64
-	sc := in.newScratch()
-	sc.od.reset(0)
-	for id := uint64(0); id < in.n; id++ {
-		if in.deadlockAt(sc) {
-			out = append(out, id)
-		}
-		if id+1 < in.n {
-			sc.od.step()
-		}
-	}
-	return out
-}
+// increasing state-code order. The scan rides the odometer: the deadlock
+// test reads one enabled bit per process, indexed by incrementally
+// maintained window codes.
+func (in *Instance) Deadlocks() []uint64 { return in.deadlocks(false) }
 
 // IllegitimateDeadlocks returns the global deadlocks outside I(K) — the
 // states Theorem 4.2 predicts from local deadlock cycles in the RCG. The
-// explicit scan (sharded like Deadlocks when WithWorkers > 1) is the oracle
-// those predictions are cross-validated against.
-func (in *Instance) IllegitimateDeadlocks() []uint64 {
-	if in.workers > 1 {
-		return in.collectStatesParallel(func(id uint64, sc *scratch) bool {
-			return !in.inI.Get(id) && in.deadlockAt(sc)
-		})
-	}
-	var out []uint64
-	sc := in.newScratch()
-	sc.od.reset(0)
-	for id := uint64(0); id < in.n; id++ {
-		if !in.inI.Get(id) && in.deadlockAt(sc) {
-			out = append(out, id)
-		}
-		if id+1 < in.n {
-			sc.od.step()
-		}
-	}
-	return out
-}
+// explicit scan is the oracle those predictions are cross-validated
+// against.
+func (in *Instance) IllegitimateDeadlocks() []uint64 { return in.deadlocks(true) }
 
 // ClosureViolation describes a transition that leaves I — a failure of
 // the closure half of self-stabilization (Section 2.2), which both
@@ -84,20 +46,11 @@ type ClosureViolation struct {
 // (smallest source id, then the first violating transition in detailed
 // order).
 func (in *Instance) CheckClosure() *ClosureViolation {
-	if in.workers > 1 {
-		return in.checkClosureParallel()
+	id, ok := in.firstState(context.Background(), true)
+	if !ok {
+		return nil
 	}
-	sc := in.newScratch()
-	sc.od.reset(0)
-	for id := uint64(0); id < in.n; id++ {
-		if in.inI.Get(id) && in.closureEscapeAt(sc) {
-			return in.closureWitness(id)
-		}
-		if id+1 < in.n {
-			sc.od.step()
-		}
-	}
-	return nil
+	return in.closureWitness(id)
 }
 
 // closureEscapeAt reports whether some successor of the odometer's current
@@ -128,8 +81,8 @@ func (in *Instance) closureWitness(id uint64) *ClosureViolation {
 // 2.1). It returns the states of one such cycle (in order; the last state
 // has a transition back to the first), or nil when Delta_p | not-I is
 // acyclic. Implemented as an iterative Tarjan SCC over the not-I-restricted
-// transition graph, materialized up front as a CSR adjacency by a single
-// ascending odometer sweep when the instance fits the edge budget (the
+// transition graph, materialized up front as a CSR adjacency by chunked
+// ascending odometer sweeps when the instance fits the edge budget (the
 // Tarjan's random-access expansions then cost two array reads instead of a
 // decode), and generated on the fly past the budget.
 func (in *Instance) FindLivelock() []uint64 {
@@ -141,7 +94,7 @@ func (in *Instance) FindLivelock() []uint64 {
 // CSR sweep and the Tarjan walk poll ctx every few thousand states and
 // return ctx.Err() (with a nil cycle) once the context is done.
 func (in *Instance) FindLivelockCtx(ctx context.Context) ([]uint64, error) {
-	if g, ok := in.buildNotIGraphSeq(ctx); ok {
+	if g, ok := in.buildNotIGraph(ctx); ok {
 		return in.findLivelock(ctx, g.succ)
 	}
 	if err := ctx.Err(); err != nil {
@@ -166,42 +119,10 @@ func (in *Instance) FindLivelockCtx(ctx context.Context) ([]uint64, error) {
 	})
 }
 
-// buildNotIGraphSeq materializes Delta_p | not-I as a CSR adjacency with one
-// single-threaded ascending odometer sweep — the sequential counterpart of
-// buildNotIGraphParallel, sharing its edge budget and producing the same
-// layout (rows ascending, each row sorted), so findLivelock reports the same
-// witness over either. Returns false past the budget or once ctx is done.
-func (in *Instance) buildNotIGraphSeq(ctx context.Context) (*notIGraph, bool) {
-	if in.n > math.MaxUint32 || in.n*uint64(in.k) > parallelEdgeBudget {
-		return nil, false
-	}
-	defer trace.StartRegion(ctx, "explicit.csrBuild").End()
-	g := &notIGraph{off: make([]uint64, in.n+1)}
-	sc := in.newScratch()
-	sc.od.reset(0)
-	for id := uint64(0); id < in.n; id++ {
-		if id&cancelCheckMask == 0 && ctx.Err() != nil {
-			return nil, false
-		}
-		if !in.inI.Get(id) {
-			for _, s := range in.successorsAt(sc) {
-				if !in.inI.Get(s) {
-					g.edges = append(g.edges, uint32(s))
-				}
-			}
-		}
-		g.off[id+1] = uint64(len(g.edges))
-		if id+1 < in.n {
-			sc.od.step()
-		}
-	}
-	return g, true
-}
-
 // findLivelock is the Tarjan core of FindLivelock, parameterized over the
-// provider of not-I-restricted successor lists so that the parallel checker
-// can feed it the pre-materialized CSR adjacency: same traversal order over
-// the same (sorted) adjacency means the same witness cycle either way.
+// provider of not-I-restricted successor lists: the CSR adjacency, or the
+// on-the-fly expansion past the edge budget. Same traversal order over the
+// same (sorted) adjacency means the same witness cycle either way.
 // Cancellation is polled once per cancelCheckMask+1 visited states.
 func (in *Instance) findLivelock(ctx context.Context, restricted func(id uint64) []uint64) ([]uint64, error) {
 	defer trace.StartRegion(ctx, "explicit.livelockTarjan").End()
@@ -378,9 +299,8 @@ type ConvergenceReport struct {
 
 // CheckStrongConvergence decides strong convergence to I(K) by Proposition
 // 2.1: deadlock-freedom in not-I plus livelock-freedom in Delta_p | not-I.
-// With WithWorkers > 1 it runs the frontier-parallel engine (see
-// parallel.go); verdicts and witnesses are identical to the sequential
-// reference either way.
+// The deadlock witness is the smallest-coded illegitimate deadlock, and
+// the livelock witness is FindLivelock's cycle, at every worker count.
 func (in *Instance) CheckStrongConvergence() ConvergenceReport {
 	rep, _ := in.CheckStrongConvergenceCtx(context.Background())
 	return rep
@@ -388,54 +308,27 @@ func (in *Instance) CheckStrongConvergence() ConvergenceReport {
 
 // CheckStrongConvergenceCtx is CheckStrongConvergence with cooperative
 // cancellation: both the deadlock scan and the livelock Tarjan poll ctx
-// periodically (in every worker, when parallel) and the check returns
+// periodically (in every chunk) and the check returns
 // ctx.Err() with a zero-value report once the context is done — the hook
 // that makes service deadlines real on multi-second state spaces.
 func (in *Instance) CheckStrongConvergenceCtx(ctx context.Context) (ConvergenceReport, error) {
-	if in.workers > 1 {
-		return in.checkStrongConvergenceParallel(ctx)
-	}
-	return in.checkStrongConvergenceSeq(ctx)
-}
-
-// CheckStrongConvergenceSeq is the single-threaded reference
-// implementation of CheckStrongConvergence. It is kept exported so tests
-// and the Table-1 benchmarks can cross-check and time the parallel engine
-// against it regardless of the instance's worker setting.
-func (in *Instance) CheckStrongConvergenceSeq() ConvergenceReport {
-	rep, _ := in.checkStrongConvergenceSeq(context.Background())
-	return rep
-}
-
-func (in *Instance) checkStrongConvergenceSeq(ctx context.Context) (ConvergenceReport, error) {
 	rep := ConvergenceReport{StatesExplored: in.n}
 	scan := trace.StartRegion(ctx, "explicit.deadlockScan")
-	sc := in.newScratch()
-	sc.od.reset(0)
-	for id := uint64(0); id < in.n; id++ {
-		if id&cancelCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				scan.End()
-				return ConvergenceReport{}, err
-			}
-		}
-		if !in.inI.Get(id) && in.deadlockAt(sc) {
-			d := id
-			rep.DeadlockWitness = &d
-			scan.End()
-			return rep, nil
-		}
-		if id+1 < in.n {
-			sc.od.step()
-		}
-	}
+	id, ok := in.firstState(ctx, false)
 	scan.End()
-	c, err := in.FindLivelockCtx(ctx)
+	if err := ctx.Err(); err != nil {
+		return ConvergenceReport{}, err
+	}
+	if ok {
+		rep.DeadlockWitness = &id
+		return rep, nil
+	}
+	cycle, err := in.FindLivelockCtx(ctx)
 	if err != nil {
 		return ConvergenceReport{}, err
 	}
-	if c != nil {
-		rep.LivelockWitness = c
+	if cycle != nil {
+		rep.LivelockWitness = cycle
 		return rep, nil
 	}
 	rep.Converges = true
@@ -444,11 +337,10 @@ func (in *Instance) checkStrongConvergenceSeq(ctx context.Context) (ConvergenceR
 
 // CheckWeakConvergence reports whether from every state some computation
 // reaches I (weak convergence, Section 2.2), together with the states that
-// cannot reach I at all when the answer is false. The backward BFS from I
-// runs level-parallel when WithWorkers > 1; reachability is
-// order-independent, so the stuck set is identical.
+// cannot reach I at all when the answer is false: the states that
+// RecoveryDistances marks -1, in ascending order.
 func (in *Instance) CheckWeakConvergence() (bool, []uint64) {
-	dist := in.recoveryDistances()
+	dist := in.RecoveryDistances()
 	var stuck []uint64
 	for id := uint64(0); id < in.n; id++ {
 		if dist[id] < 0 {
@@ -462,11 +354,9 @@ func (in *Instance) CheckWeakConvergence() (bool, []uint64) {
 // shortest number of transitions needed to reach I (states already in I
 // count 0) — the convergence-time metric of the X3 experiment. The bool is
 // false when some state cannot reach I at all (the radius then ignores
-// such states). Shares the (optionally parallel) backward BFS with
-// CheckWeakConvergence; BFS distances are unique, so worker count never
-// changes the answer.
+// such states). Both figures come from RecoveryDistances.
 func (in *Instance) RecoveryRadius() (max int, mean float64, allReach bool) {
-	dist := in.recoveryDistances()
+	dist := in.RecoveryDistances()
 	allReach = true
 	var sum, cnt uint64
 	for id := uint64(0); id < in.n; id++ {

@@ -67,12 +67,13 @@ func WithMaxStates(n uint64) Option {
 	return func(in *Instance) { in.maxStates = n }
 }
 
-// WithWorkers sets the number of worker goroutines the instance uses for
-// its whole-state-space operations (CheckStrongConvergence, Deadlocks,
+// WithWorkers sets the number of chunks, each scanned by its own
+// goroutine, that the instance splits its whole-state-space operations
+// into (CheckStrongConvergence, FindLivelock, Deadlocks,
 // CheckWeakConvergence, RecoveryRadius, CheckClosure and instance
-// construction). n <= 0 selects runtime.GOMAXPROCS(0), which is also the
-// default; n == 1 forces the sequential reference path. Parallel and
-// sequential paths return identical results (same verdicts, same
+// construction; see parallel.go). n <= 0 selects runtime.GOMAXPROCS(0),
+// which is also the default; n == 1 runs each scan as one inline chunk.
+// Every worker count returns identical results (same verdicts, same
 // witnesses), so the choice is purely a time/space trade-off: the global
 // side of the paper's Table 1 is domain^K work that the local method
 // avoids entirely, and the workers only shrink the constant, never the
@@ -688,7 +689,7 @@ func (in *Instance) HasTransition(from, to uint64) bool {
 }
 
 // hasTransitionScratch is HasTransition with caller-provided scratch; used
-// by the predecessor-generating BFS loops (sequential and parallel alike).
+// by the predecessor-generating backward BFS.
 func (in *Instance) hasTransitionScratch(from, to uint64, sc *scratch) bool {
 	for _, s := range in.successorsInto(from, sc) {
 		if s == to {

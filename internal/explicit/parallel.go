@@ -4,33 +4,32 @@ import (
 	"context"
 	"math"
 	"runtime/trace"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// The frontier-parallel engine. The global side of the paper's Table 1 is
-// domain^K work by construction — local reasoning (Theorems 4.2 and 5.14)
-// avoids the exponent, and this file only shrinks the constant so the
-// oracle/baseline comparison runs as fast as the hardware allows:
+// Chunked scans. The global side of the paper's Table 1 is domain^K work
+// by construction — local reasoning (Theorems 4.2 and 5.14) avoids the
+// exponent, and the workers only shrink the constant. Every whole-state
+// pass of an Instance has one implementation, a scan over WithWorkers
+// contiguous chunks of the state codes (forEachChunk); one worker runs one
+// chunk inline. The chunks merge so that the answer does not depend on
+// the worker count:
 //
-//   - state scans (deadlock search, Deadlocks, CheckClosure) are split into
-//     one contiguous code range per worker, with a CAS-min merge so the
-//     reported witness is exactly the sequential one (the smallest id);
-//   - the backward BFS of CheckWeakConvergence/RecoveryRadius runs
-//     level-synchronously with a lock-free CAS bitset claiming states, so
-//     the computed distances are the (unique) BFS distances regardless of
-//     worker interleaving;
-//   - livelock detection (the cycle search of Proposition 2.1) builds the
-//     not-I-restricted transition graph in parallel as a CSR adjacency and
-//     then runs the same sequential Tarjan over it, so the witness cycle is
-//     bit-identical to FindLivelock's. Tarjan itself stays serial — Amdahl
-//     caps the speedup, but successor generation (a window decode plus a
-//     table lookup per process per state) dominates the sequential profile.
+//   - collecting scans (Deadlocks, IllegitimateDeadlocks) concatenate
+//     their per-chunk results in chunk order;
+//   - first-hit scans (firstState: the deadlock search of
+//     CheckStrongConvergence, and CheckClosure) CAS-min the smallest hit,
+//     so the witness is the smallest state code;
+//   - the not-I CSR behind FindLivelock stitches per-chunk rows in chunk
+//     order, and one Tarjan walks it, so the witness cycle is the same;
+//   - the backward BFS of CheckWeakConvergence and RecoveryRadius runs
+//     level by level with a CAS bitset claiming states, so the distances
+//     are the (unique) BFS distances.
 //
-// Every parallel path returns results identical to the sequential reference
-// (kept under the same exported names with workers == 1) and is exercised
-// against it by TestParallelMatchesSequential under -race.
+// TestParallelMatchesSequential and its neighbours check these answers at
+// one worker against several, under -race in CI.
 
 // chunkFor returns the half-open range of chunk w when [0, n) is split into
 // workers contiguous chunks. Chunk boundaries are rounded up to multiples
@@ -59,6 +58,7 @@ func (in *Instance) forEachChunk(fn func(w int, lo, hi uint64)) {
 }
 
 // forEachRange is forEachChunk over [0, n) instead of the state codes.
+// Empty chunks are skipped.
 func (in *Instance) forEachRange(n uint64, fn func(w int, lo, hi uint64)) {
 	if in.workers <= 1 || n == 0 {
 		fn(0, 0, n)
@@ -79,32 +79,36 @@ func (in *Instance) forEachRange(n uint64, fn func(w int, lo, hi uint64)) {
 	wg.Wait()
 }
 
-// firstIllegitimateDeadlockParallel scans all states for the smallest-coded
-// global deadlock outside I. Workers CAS-min their first hit and bail out
-// early once a lower-ranged worker has already won, so the result equals
-// the sequential ascending scan's first hit.
-func (in *Instance) firstIllegitimateDeadlockParallel(ctx context.Context) (uint64, bool) {
-	defer trace.StartRegion(ctx, "explicit.deadlockScan").End()
+// firstState returns the smallest state code that is a global deadlock
+// outside I or, with closure set, that lies in I and has a successor
+// outside I. Each chunk stops at its first hit, the chunk's smallest, and
+// CAS-mins it into the answer; a chunk also stops once a lower chunk has
+// won, or ctx is done. The two tests are inline rather than a predicate
+// argument: an indirect call per state costs a tenth of a small ring's
+// check.
+func (in *Instance) firstState(ctx context.Context, closure bool) (uint64, bool) {
 	var best atomic.Uint64
 	best.Store(math.MaxUint64)
 	in.forEachChunk(func(_ int, lo, hi uint64) {
-		if lo >= hi {
-			return
-		}
 		sc := in.newScratch()
 		sc.od.reset(lo)
 		for id := lo; id < hi; id++ {
-			if id%4096 == 0 && (ctx.Err() != nil || best.Load() < lo) {
-				return // canceled, or a lower chunk already found one
+			if id&cancelCheckMask == 0 && (ctx.Err() != nil || best.Load() < lo) {
+				return
 			}
-			if !in.inI.Get(id) && in.deadlockAt(sc) {
-				for {
-					cur := best.Load()
-					if id >= cur || best.CompareAndSwap(cur, id) {
+			var hit bool
+			if closure {
+				hit = in.inI.Get(id) && in.closureEscapeAt(sc)
+			} else {
+				hit = !in.inI.Get(id) && in.deadlockAt(sc)
+			}
+			if hit {
+				for cur := best.Load(); id < cur; cur = best.Load() {
+					if best.CompareAndSwap(cur, id) {
 						break
 					}
 				}
-				return // the first hit in an ascending chunk is the chunk's min
+				return
 			}
 			if id+1 < hi {
 				sc.od.step()
@@ -115,61 +119,45 @@ func (in *Instance) firstIllegitimateDeadlockParallel(ctx context.Context) (uint
 	return id, id != math.MaxUint64
 }
 
-// collectStatesParallel returns, in increasing state-code order, every
-// state satisfying pred. Per-chunk slices are concatenated in chunk order,
-// so the result is identical to a sequential ascending scan. The scratch
-// handed to pred has its odometer synced to id, so predicates can use the
-// incremental deadlockAt/successorsAt helpers directly.
-func (in *Instance) collectStatesParallel(pred func(id uint64, sc *scratch) bool) []uint64 {
+// deadlocks returns the global deadlocks, or only those outside I, in
+// increasing state-code order: per-chunk lists concatenated in chunk
+// order.
+func (in *Instance) deadlocks(illegitimateOnly bool) []uint64 {
 	parts := make([][]uint64, in.workers)
-	var wg sync.WaitGroup
-	for w := 0; w < in.workers; w++ {
-		lo, hi := chunkFor(in.n, in.workers, w)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w int, lo, hi uint64) {
-			defer wg.Done()
-			sc := in.newScratch()
-			sc.od.reset(lo)
-			var out []uint64
-			for id := lo; id < hi; id++ {
-				if pred(id, sc) {
-					out = append(out, id)
-				}
-				if id+1 < hi {
-					sc.od.step()
-				}
+	in.forEachChunk(func(w int, lo, hi uint64) {
+		sc := in.newScratch()
+		sc.od.reset(lo)
+		var out []uint64
+		for id := lo; id < hi; id++ {
+			if (!illegitimateOnly || !in.inI.Get(id)) && in.deadlockAt(sc) {
+				out = append(out, id)
 			}
-			parts[w] = out
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var out []uint64
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
+			if id+1 < hi {
+				sc.od.step()
+			}
+		}
+		parts[w] = out
+	})
+	return slices.Concat(parts...)
 }
 
-// parallelEdgeBudget bounds the CSR adjacency the parallel livelock check
+// csrEdgeBudget bounds the not-I CSR adjacency FindLivelock
 // materializes (edges are bounded by states x ring size). Past the budget
-// the check falls back to the on-the-fly sequential Tarjan — correctness is
-// unaffected, only the speedup of the livelock phase.
-const parallelEdgeBudget = 1 << 27
+// the Tarjan generates successors on the fly — correctness is unaffected,
+// only the speed of the livelock phase.
+const csrEdgeBudget = 1 << 27
 
 // notIGraph is the Delta_p | not-I transition graph in compressed sparse
 // row form: states in I have an empty row, successors are the sorted
-// deduplicated not-I successors — exactly what FindLivelock's restricted()
-// generates on the fly.
+// deduplicated not-I successors — exactly what FindLivelock's on-the-fly
+// expansion generates.
 type notIGraph struct {
 	off   []uint64
 	edges []uint32
 }
 
 // succ returns the not-I successors of id as a fresh slice (the Tarjan
-// frames retain it), matching the sequential restricted() contract.
+// frames retain it).
 func (g *notIGraph) succ(id uint64) []uint64 {
 	lo, hi := g.off[id], g.off[id+1]
 	if lo == hi {
@@ -182,119 +170,79 @@ func (g *notIGraph) succ(id uint64) []uint64 {
 	return out
 }
 
-// buildNotIGraphParallel materializes Delta_p | not-I with one worker per
-// contiguous state range; per-chunk edge lists are stitched in chunk order
-// so the layout is independent of scheduling. Returns false when the
-// instance is too large for the CSR budget (caller falls back to the
-// sequential path).
-func (in *Instance) buildNotIGraphParallel(ctx context.Context) (*notIGraph, bool) {
-	if in.n > math.MaxUint32 || in.n*uint64(in.k) > parallelEdgeBudget {
+// buildNotIGraph materializes Delta_p | not-I as a CSR adjacency, rows
+// ascending and each row sorted. Each chunk sweeps its states with the
+// odometer, writing chunk-local row ends into off and its own edge run;
+// the runs are stitched in chunk order, so the layout does not depend on
+// the worker count. Returns false past the edge budget or once ctx is
+// done.
+func (in *Instance) buildNotIGraph(ctx context.Context) (*notIGraph, bool) {
+	if in.n > math.MaxUint32 || in.n*uint64(in.k) > csrEdgeBudget {
 		return nil, false
 	}
 	defer trace.StartRegion(ctx, "explicit.csrBuild").End()
-	type chunk struct {
+	type run struct {
 		lo, hi uint64
-		deg    []uint32
 		edges  []uint32
 	}
-	chunks := make([]chunk, in.workers)
-	var wg sync.WaitGroup
-	for w := 0; w < in.workers; w++ {
-		lo, hi := chunkFor(in.n, in.workers, w)
-		chunks[w] = chunk{lo: lo, hi: hi}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(c *chunk) {
-			defer wg.Done()
-			sc := in.newScratch()
-			sc.od.reset(c.lo)
-			c.deg = make([]uint32, c.hi-c.lo)
-			// The chunk is one ID-sorted run: the odometer keeps the window
-			// codes current and the ascending ids keep the inI words and the
-			// flat table hot, so the CSR build streams instead of chasing.
-			for id := c.lo; id < c.hi; id++ {
-				if id&cancelCheckMask == 0 && ctx.Err() != nil {
-					return // partial chunk; the caller discards via ctx.Err()
-				}
-				if !in.inI.Get(id) {
-					n := 0
-					for _, s := range in.successorsAt(sc) {
-						if !in.inI.Get(s) {
-							c.edges = append(c.edges, uint32(s))
-							n++
-						}
+	g := &notIGraph{off: make([]uint64, in.n+1)}
+	runs := make([]run, in.workers)
+	in.forEachChunk(func(w int, lo, hi uint64) {
+		sc := in.newScratch()
+		sc.od.reset(lo)
+		var edges []uint32
+		for id := lo; id < hi; id++ {
+			if id&cancelCheckMask == 0 && ctx.Err() != nil {
+				return // partial chunk; discarded below
+			}
+			if !in.inI.Get(id) {
+				for _, s := range in.successorsAt(sc) {
+					if !in.inI.Get(s) {
+						edges = append(edges, uint32(s))
 					}
-					c.deg[id-c.lo] = uint32(n)
-				}
-				if id+1 < c.hi {
-					sc.od.step()
 				}
 			}
-		}(&chunks[w])
+			g.off[id+1] = uint64(len(edges))
+			if id+1 < hi {
+				sc.od.step()
+			}
+		}
+		runs[w] = run{lo: lo, hi: hi, edges: edges}
+	})
+	if ctx.Err() != nil {
+		return nil, false
 	}
-	wg.Wait()
-	g := &notIGraph{off: make([]uint64, in.n+1)}
+	if in.workers == 1 {
+		g.edges = runs[0].edges
+		return g, true
+	}
 	total := 0
-	for _, c := range chunks {
-		total += len(c.edges)
+	for _, r := range runs {
+		total += len(r.edges)
 	}
 	g.edges = make([]uint32, 0, total)
-	var off uint64
-	for _, c := range chunks {
-		for i := c.lo; i < c.hi; i++ {
-			g.off[i] = off
-			off += uint64(c.deg[i-c.lo])
+	for _, r := range runs {
+		base := uint64(len(g.edges))
+		for i := r.lo + 1; i <= r.hi; i++ {
+			g.off[i] += base
 		}
-		g.edges = append(g.edges, c.edges...)
+		g.edges = append(g.edges, r.edges...)
 	}
-	g.off[in.n] = off
 	return g, true
 }
 
-// checkStrongConvergenceParallel is the workers > 1 path of
-// CheckStrongConvergence; see the file comment for why each phase produces
-// exactly the sequential verdict and witnesses. A done ctx aborts the
-// in-flight phase (every worker polls it) and surfaces ctx.Err().
-func (in *Instance) checkStrongConvergenceParallel(ctx context.Context) (ConvergenceReport, error) {
-	rep := ConvergenceReport{StatesExplored: in.n}
-	id, ok := in.firstIllegitimateDeadlockParallel(ctx)
-	if err := ctx.Err(); err != nil {
-		return ConvergenceReport{}, err
-	}
-	if ok {
-		d := id
-		rep.DeadlockWitness = &d
-		return rep, nil
-	}
-	var (
-		cycle []uint64
-		err   error
-	)
-	if g, ok := in.buildNotIGraphParallel(ctx); ok && ctx.Err() == nil {
-		cycle, err = in.findLivelock(ctx, g.succ)
-	} else {
-		cycle, err = in.FindLivelockCtx(ctx)
-	}
-	if err != nil {
-		return ConvergenceReport{}, err
-	}
-	if cycle != nil {
-		rep.LivelockWitness = cycle
-		return rep, nil
-	}
-	rep.Converges = true
-	return rep, nil
-}
-
-// recoveryDistancesParallel runs the backward BFS from I level-
-// synchronously: each level's frontier is split among workers, predecessors
-// are claimed through the CAS bitset (exactly one worker wins a state), and
-// the level barrier makes the claimed distances visible before the next
-// level reads them. BFS distances are unique, so the dist array equals the
-// sequential one for any worker count.
-func (in *Instance) recoveryDistancesParallel() []int32 {
+// RecoveryDistances returns, per state code, the length of the shortest
+// computation from that state into I(K): 0 inside I, -1 when I is
+// unreachable. It is the backward BFS from I that CheckWeakConvergence
+// and RecoveryRadius read.
+//
+// The BFS runs level by level: each level's frontier, sorted, is split
+// into chunks; a chunk generates the predecessor candidates of its states
+// (one position changed) and claims each unclaimed real predecessor
+// through the CAS bitset, so exactly one chunk wins a state. Every state
+// claimed at a level gets that level's distance, and BFS distances are
+// unique, so the array does not depend on the worker count.
+func (in *Instance) RecoveryDistances() []int32 {
 	dist := make([]int32, in.n)
 	for i := range dist {
 		dist[i] = -1
@@ -308,163 +256,49 @@ func (in *Instance) recoveryDistancesParallel() []int32 {
 		seen.Set(id)
 		dist[id] = 0
 	}
-	for level := int32(0); len(frontier) > 0; level++ {
-		// Batched frontier processing: each level is handled in ID-sorted
-		// runs, so the predecessor probes of neighboring frontier states
-		// touch neighboring bitset words and reuse the hot flat-table rows.
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-		parts := make([][]uint64, in.workers)
-		var wg sync.WaitGroup
-		size := (len(frontier) + in.workers - 1) / in.workers
-		for w := 0; w < in.workers; w++ {
-			lo := w * size
-			hi := lo + size
-			if lo >= len(frontier) {
-				break
+	// Per chunk, across levels: the next frontier, a scratch for the
+	// transition tests, and the frontier state's valuation, kept apart from
+	// the scratch's own, which the transition tests overwrite.
+	parts := make([][]uint64, in.workers)
+	scs := make([]*scratch, in.workers)
+	valss := make([][]int, in.workers)
+	for level := int32(1); len(frontier) > 0; level++ {
+		// Ascending runs keep the predecessor probes of neighbouring
+		// frontier states on neighbouring bitset words and hot flat-table
+		// rows.
+		slices.Sort(frontier)
+		in.forEachRange(uint64(len(frontier)), func(w int, lo, hi uint64) {
+			if scs[w] == nil {
+				scs[w], valss[w] = in.newScratch(), make([]int, in.k)
 			}
-			if hi > len(frontier) {
-				hi = len(frontier)
-			}
-			wg.Add(1)
-			go func(w int, slice []uint64) {
-				defer wg.Done()
-				vals := make([]int, in.k)
-				sc := in.newScratch()
-				var next []uint64
-				for _, id := range slice {
-					in.DecodeInto(id, vals)
-					for r := 0; r < in.k; r++ {
-						orig := vals[r]
-						for ov := 0; ov < in.d; ov++ {
-							if ov == orig {
-								continue
-							}
-							vals[r] = ov
-							pred := in.Encode(vals)
-							vals[r] = orig
-							if seen.GetAtomic(pred) {
-								continue
-							}
-							if !in.hasTransitionScratch(pred, id, sc) {
-								continue
-							}
-							if seen.TestAndSet(pred) {
-								dist[pred] = level + 1
-								next = append(next, pred)
-							}
+			sc, vals := scs[w], valss[w]
+			next := parts[w][:0]
+			for _, id := range frontier[lo:hi] {
+				in.DecodeInto(id, vals)
+				for r := 0; r < in.k; r++ {
+					base := id - uint64(vals[r])*in.po[r]
+					for ov := 0; ov < in.d; ov++ {
+						if ov == vals[r] {
+							continue
+						}
+						pred := base + uint64(ov)*in.po[r]
+						if seen.GetAtomic(pred) || !in.hasTransitionScratch(pred, id, sc) {
+							continue
+						}
+						if seen.TestAndSet(pred) {
+							dist[pred] = level
+							next = append(next, pred)
 						}
 					}
 				}
-				parts[w] = next
-			}(w, frontier[lo:hi])
-		}
-		wg.Wait()
+			}
+			parts[w] = next
+		})
 		frontier = frontier[:0]
-		for _, p := range parts {
+		for w, p := range parts {
 			frontier = append(frontier, p...)
+			parts[w] = p[:0]
 		}
 	}
 	return dist
-}
-
-// recoveryDistancesSeq is the sequential reference: the FIFO backward BFS
-// RecoveryRadius has always used, emitting the dist array.
-func (in *Instance) recoveryDistancesSeq() []int32 {
-	dist := make([]int32, in.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	frontier := in.inI.AppendSetBits(nil, 0, in.n)
-	for _, id := range frontier {
-		dist[id] = 0
-	}
-	vals := make([]int, in.k)
-	sc := in.newScratch()
-	for head := 0; head < len(frontier); head++ {
-		id := frontier[head]
-		in.DecodeInto(id, vals)
-		for r := 0; r < in.k; r++ {
-			orig := vals[r]
-			for ov := 0; ov < in.d; ov++ {
-				if ov == orig {
-					continue
-				}
-				vals[r] = ov
-				pred := in.Encode(vals)
-				vals[r] = orig
-				if dist[pred] >= 0 {
-					continue
-				}
-				if in.hasTransitionScratch(pred, id, sc) {
-					dist[pred] = dist[id] + 1
-					frontier = append(frontier, pred)
-				}
-			}
-		}
-	}
-	return dist
-}
-
-// recoveryDistances returns, per state, the length of the shortest
-// computation into I (0 inside I, -1 when I is unreachable) — the substrate
-// shared by CheckWeakConvergence and RecoveryRadius.
-func (in *Instance) recoveryDistances() []int32 {
-	if in.workers > 1 {
-		return in.recoveryDistancesParallel()
-	}
-	return in.recoveryDistancesSeq()
-}
-
-// checkClosureParallel scans the states of I for the smallest-coded closure
-// violation, mirroring CheckClosure's ascending scan with a CAS-min merge
-// and early bail-out.
-func (in *Instance) checkClosureParallel() *ClosureViolation {
-	var best atomic.Uint64
-	best.Store(math.MaxUint64)
-	found := make([]*ClosureViolation, in.workers)
-	var wg sync.WaitGroup
-	for w := 0; w < in.workers; w++ {
-		lo, hi := chunkFor(in.n, in.workers, w)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w int, lo, hi uint64) {
-			defer wg.Done()
-			sc := in.newScratch()
-			sc.od.reset(lo)
-			for id := lo; id < hi; id++ {
-				if id%4096 == 0 && best.Load() < lo {
-					return
-				}
-				// Two-phase like the sequential scan: the odometer sweep
-				// detects an escape from I, and only a hit pays the
-				// allocating detailed walk that names the witness.
-				if in.inI.Get(id) && in.closureEscapeAt(sc) {
-					found[w] = in.closureWitness(id)
-					for {
-						cur := best.Load()
-						if id >= cur || best.CompareAndSwap(cur, id) {
-							break
-						}
-					}
-					return
-				}
-				if id+1 < hi {
-					sc.od.step()
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	id := best.Load()
-	if id == math.MaxUint64 {
-		return nil
-	}
-	for _, v := range found {
-		if v != nil && v.From == id {
-			return v
-		}
-	}
-	return nil
 }

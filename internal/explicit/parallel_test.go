@@ -34,11 +34,11 @@ func sameWitness(a, b *uint64) bool {
 }
 
 // TestParallelMatchesSequential is the engine's contract: for every zoo
-// protocol and K in 4..10, the parallel checker and the sequential
-// reference return identical verdicts AND identical witnesses — deadlocks,
-// livelock cycles, weak convergence, recovery radii, closure. Run under
-// -race in CI (with -cpu variations) this doubles as the concurrency
-// soundness suite.
+// protocol and K in 4..10, one worker and four return identical verdicts
+// AND identical witnesses — deadlocks, livelock cycles, weak convergence,
+// recovery radii, closure — and both match the FIFO backward BFS of
+// referenceDistances. Run under -race in CI (with -cpu variations) this
+// doubles as the concurrency soundness suite.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, name := range zooNames() {
 		p := protocols.All()[name]
@@ -56,7 +56,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 					t.Fatal("parallel I(K) evaluation differs from sequential")
 				}
 
-				srep := seq.CheckStrongConvergenceSeq()
+				srep := seq.CheckStrongConvergence()
 				prep := par.CheckStrongConvergence()
 				if srep.Converges != prep.Converges {
 					t.Fatalf("Converges: seq=%v par=%v", srep.Converges, prep.Converges)
@@ -98,10 +98,78 @@ func TestParallelMatchesSequential(t *testing.T) {
 						t.Fatalf("RecoveryRadius: seq=(%d,%f,%v) par=(%d,%f,%v)",
 							smax, smean, sall, pmax, pmean, pall)
 					}
+					ref := referenceDistances(seq)
+					rmax, rmean, rall, rstuck := radiusOf(ref)
+					if smax != rmax || smean != rmean || sall != rall || !reflect.DeepEqual(sstuck, rstuck) {
+						t.Fatalf("one worker against the FIFO reference: RecoveryRadius (%d,%f,%v), reference (%d,%f,%v); %d stuck states, reference %d",
+							smax, smean, sall, rmax, rmean, rall, len(sstuck), len(rstuck))
+					}
+					if !reflect.DeepEqual(seq.RecoveryDistances(), ref) || !reflect.DeepEqual(par.RecoveryDistances(), ref) {
+						t.Fatal("RecoveryDistances differ from the FIFO reference")
+					}
 				}
 			})
 		}
 	}
+}
+
+// referenceDistances is the FIFO backward BFS from I that RecoveryRadius
+// ran at one worker before the level-synchronous BFS served every worker
+// count: the reference TestParallelMatchesSequential checks
+// RecoveryDistances, RecoveryRadius and CheckWeakConvergence against.
+func referenceDistances(in *Instance) []int32 {
+	dist := make([]int32, in.n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	frontier := in.inI.AppendSetBits(nil, 0, in.n)
+	for _, id := range frontier {
+		dist[id] = 0
+	}
+	vals := make([]int, in.k)
+	sc := in.newScratch()
+	for head := 0; head < len(frontier); head++ {
+		id := frontier[head]
+		in.DecodeInto(id, vals)
+		for r := 0; r < in.k; r++ {
+			orig := vals[r]
+			for ov := 0; ov < in.d; ov++ {
+				if ov == orig {
+					continue
+				}
+				vals[r] = ov
+				pred := in.Encode(vals)
+				vals[r] = orig
+				if dist[pred] >= 0 {
+					continue
+				}
+				if in.hasTransitionScratch(pred, id, sc) {
+					dist[pred] = dist[id] + 1
+					frontier = append(frontier, pred)
+				}
+			}
+		}
+	}
+	return dist
+}
+
+// radiusOf derives RecoveryRadius's figures and CheckWeakConvergence's
+// stuck states from a distance array.
+func radiusOf(dist []int32) (radius int, mean float64, allReach bool, stuck []uint64) {
+	var sum, cnt uint64
+	for id, d := range dist {
+		if d < 0 {
+			stuck = append(stuck, uint64(id))
+			continue
+		}
+		radius = max(radius, int(d))
+		sum += uint64(d)
+		cnt++
+	}
+	if cnt > 0 {
+		mean = float64(sum) / float64(cnt)
+	}
+	return radius, mean, len(stuck) == 0, stuck
 }
 
 // TestParallelWorkerCountsAgree varies the worker count (including an odd
@@ -111,7 +179,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestParallelWorkerCountsAgree(t *testing.T) {
 	p := protocols.GoudaAcharya()
 	for _, k := range []int{5, 6, 7} {
-		ref := mustInstance(t, p, k, WithWorkers(1)).CheckStrongConvergenceSeq()
+		ref := mustInstance(t, p, k, WithWorkers(1)).CheckStrongConvergence()
 		for _, w := range []int{2, 3, 4, 8, 64} {
 			got := mustInstance(t, p, k, WithWorkers(w)).CheckStrongConvergence()
 			if got.Converges != ref.Converges ||
@@ -123,10 +191,10 @@ func TestParallelWorkerCountsAgree(t *testing.T) {
 	}
 }
 
-// TestParallelClosureViolation checks seq/par witness identity on a
-// protocol whose I is NOT closed (an action that jumps out of I), since the
-// zoo protocols are all closed and would leave checkClosureParallel's
-// witness path untested.
+// TestParallelClosureViolation checks one-worker/four-worker witness
+// identity on a protocol whose I is NOT closed (an action that jumps out of
+// I), since the zoo protocols are all closed and would leave CheckClosure's
+// witness merge untested.
 func TestParallelClosureViolation(t *testing.T) {
 	p := core.MustNew(core.Config{
 		Name:   "leaky",

@@ -72,7 +72,7 @@ type RingCheck struct {
 // failing one is K = 2+len(checks). Construction errors carry
 // NewInstance's messages; a done ctx returns ctx.Err().
 func CheckRings(ctx context.Context, p *core.Protocol, maxK int, livelock bool, opts ...Option) ([]RingCheck, error) {
-	return checkRings(ctx, p, maxK, livelock, false, parallelEdgeBudget, opts)
+	return checkRings(ctx, p, maxK, livelock, false, csrEdgeBudget, opts)
 }
 
 // SmallestLivelockK returns the smallest ring size K in 2..maxK with a
@@ -80,7 +80,7 @@ func CheckRings(ctx context.Context, p *core.Protocol, maxK int, livelock bool, 
 // CheckRings with livelock set, stopping at the first ring size that
 // livelocks, and returns CheckRings' errors.
 func SmallestLivelockK(ctx context.Context, p *core.Protocol, maxK int, opts ...Option) (int, error) {
-	checks, err := checkRings(ctx, p, maxK, true, true, parallelEdgeBudget, opts)
+	checks, err := checkRings(ctx, p, maxK, true, true, csrEdgeBudget, opts)
 	if err != nil || len(checks) == 0 || !checks[len(checks)-1].Livelock {
 		return 0, err
 	}

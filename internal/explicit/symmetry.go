@@ -1,7 +1,5 @@
 package explicit
 
-import "fmt"
-
 // Rotation-symmetry reduction. Parameterized ring protocols are symmetric:
 // rotating a global state by one position commutes with the transition
 // relation, and the locally conjunctive predicate I is rotation-invariant.
@@ -34,101 +32,6 @@ func (in *Instance) Canonical(id uint64) uint64 {
 		best = min(best, cur)
 	}
 	return best
-}
-
-// symmetric reports whether the instance qualifies for symmetry reduction.
-func (in *Instance) symmetric() bool {
-	return len(in.distinguished) == 0 && in.globalI == nil
-}
-
-// CheckStrongConvergenceReduced decides strong convergence like
-// CheckStrongConvergence, but explores only one state per rotation orbit.
-// It returns an error for instances that are not rotation-symmetric.
-// Witnesses are reported as representative states of the full state space.
-func (in *Instance) CheckStrongConvergenceReduced() (ConvergenceReport, error) {
-	if !in.symmetric() {
-		return ConvergenceReport{}, fmt.Errorf("explicit: symmetry reduction requires a symmetric instance")
-	}
-	rep := ConvergenceReport{}
-
-	// Pass 1: deadlocks among orbit representatives.
-	reps := 0
-	c := in.newRepCursor()
-	for ok := c.seek(0); ok; ok = c.next() {
-		id := c.od.id
-		reps++
-		if !in.inI.Get(id) && in.IsDeadlock(id) {
-			rep.DeadlockWitness = &id
-			rep.StatesExplored = uint64(reps)
-			return rep, nil
-		}
-	}
-	rep.StatesExplored = uint64(reps)
-
-	// Pass 2: cycle detection on the quotient graph restricted to not-I,
-	// iterative DFS with three-coloring.
-	const (
-		white = uint8(0)
-		gray  = uint8(1)
-		black = uint8(2)
-	)
-	color := make(map[uint64]uint8, reps)
-	type frame struct {
-		v    uint64
-		succ []uint64
-		next int
-	}
-	quotientSucc := func(id uint64) []uint64 {
-		// Successors copies: the DFS frames retain the returned slice.
-		succ := in.Successors(id)
-		out := succ[:0]
-		for _, s := range succ {
-			c := in.Canonical(s)
-			if !in.inI.Get(c) {
-				out = append(out, c)
-			}
-		}
-		return out
-	}
-	for ok := c.seek(0); ok; ok = c.next() {
-		root := c.od.id
-		if in.inI.Get(root) || color[root] != white {
-			continue
-		}
-		stack := []frame{{v: root}}
-		color[root] = gray
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.succ == nil {
-				f.succ = quotientSucc(f.v)
-			}
-			advanced := false
-			for f.next < len(f.succ) {
-				w := f.succ[f.next]
-				f.next++
-				switch color[w] {
-				case gray:
-					// Quotient cycle found; lift a witness lazily: the
-					// representative state is enough for reporting.
-					rep.LivelockWitness = []uint64{w}
-					return rep, nil
-				case white:
-					color[w] = gray
-					stack = append(stack, frame{v: w})
-					advanced = true
-				}
-				if advanced {
-					break
-				}
-			}
-			if !advanced {
-				color[f.v] = black
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	rep.Converges = true
-	return rep, nil
 }
 
 // OrbitCount returns the number of rotation orbits (the quotient size).

@@ -1,12 +1,10 @@
 package explicit
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"paramring/internal/protocols"
-	"paramring/internal/protogen"
 )
 
 func TestCanonicalIsOrbitMinimum(t *testing.T) {
@@ -59,84 +57,5 @@ func TestOrbitCountBounds(t *testing.T) {
 	// Burnside for binary necklaces of length 6: 14 orbits.
 	if orbits != 14 {
 		t.Fatalf("binary necklaces of length 6 = %d, want 14", orbits)
-	}
-}
-
-// Reduced and full strong-convergence checks must agree on the zoo.
-func TestReducedAgreesWithFullZoo(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		k    int
-	}{
-		{"matchingA", 6}, {"matchingB", 6}, {"agreement-both", 5},
-		{"agreement-t01", 6}, {"sum-not-two-ss", 6}, {"mis", 6},
-		{"gouda-acharya", 5}, {"coloring3", 4},
-	} {
-		p := protocols.All()[tc.name]
-		in := MustNewInstance(p, tc.k)
-		full := in.CheckStrongConvergence()
-		red, err := in.CheckStrongConvergenceReduced()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.Converges != red.Converges {
-			t.Fatalf("%s K=%d: full=%v reduced=%v", tc.name, tc.k, full.Converges, red.Converges)
-		}
-		if (full.DeadlockWitness != nil) != (red.DeadlockWitness != nil) {
-			t.Fatalf("%s K=%d: deadlock witness presence differs", tc.name, tc.k)
-		}
-	}
-}
-
-func TestReducedAgreesWithFullRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 60; trial++ {
-		p := protogen.Random(rng, protogen.Options{MovePercent: 50, Nondet: true})
-		k := 3 + rng.Intn(4)
-		in := MustNewInstance(p, k)
-		full := in.CheckStrongConvergence()
-		red, err := in.CheckStrongConvergenceReduced()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.Converges != red.Converges {
-			t.Fatalf("trial %d (%s, K=%d): full=%v reduced=%v",
-				trial, p.Name(), k, full.Converges, red.Converges)
-		}
-	}
-}
-
-func TestReducedRejectsAsymmetric(t *testing.T) {
-	follower, bottom := protocols.DijkstraTokenRing(3)
-	in := MustNewInstance(follower, 3,
-		WithProcessActions(0, bottom),
-		WithGlobalPredicate(protocols.TokenRingLegit))
-	if _, err := in.CheckStrongConvergenceReduced(); err == nil {
-		t.Fatal("asymmetric instance must be rejected")
-	}
-}
-
-// Ablation: symmetry reduction vs full exploration.
-func BenchmarkStrongConvergenceReducedVsFull(b *testing.B) {
-	p := protocols.SumNotTwoSolution()
-	for _, k := range []int{8, 10} {
-		in := MustNewInstance(p, k)
-		b.Run(fmt.Sprintf("full/K=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if !in.CheckStrongConvergence().Converges {
-					b.Fatal("verdict changed")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("reduced/K=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rep, err := in.CheckStrongConvergenceReduced()
-				if err != nil || !rep.Converges {
-					b.Fatal("verdict changed")
-				}
-			}
-		})
 	}
 }

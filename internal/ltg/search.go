@@ -10,10 +10,10 @@ import (
 	"paramring/internal/core"
 )
 
-// Memo caches Theorem 5.14 verdicts per canonical t-arc subset so that a
-// synthesis search evaluating many candidate revisions of one base protocol
-// never re-derives the verdict of a pseudo-livelock core two assignments
-// share. The verdict of a subset depends only on the (source, target) state
+// Memo caches Theorem 5.14 verdicts per canonical t-arc subset across the
+// checks of same-shape protocols (CheckOptions.Memo), so that no check
+// re-derives the verdict of a subset an earlier one decided. The verdict
+// of a subset depends only on the (source, target) state
 // pairs of its arcs — trail existence never looks at action labels — so the
 // key is the sorted, deduplicated set of (src, dst) codes. Witnesses are
 // recomputed on a hit rather than cached: they are needed at most once per
@@ -110,10 +110,9 @@ func (l *LTG) subsetKey(subset []core.LocalTransition, buf *[]byte) string {
 // bounds it upstream).
 //
 // Returns the witness of the first qualifying subset (nil if none) and the
-// number of subsets examined. memo may be nil; the witness, iteration order
-// and return values are identical with or without it.
-func (l *LTG) FindTrailSubset(tarcs []core.LocalTransition, mustInclude int, memo *Memo) (*TrailWitness, int) {
-	w, checked, _ := l.findTrailSubset(context.Background(), tarcs, mustInclude, memo)
+// number of subsets examined.
+func (l *LTG) FindTrailSubset(tarcs []core.LocalTransition, mustInclude int) (*TrailWitness, int) {
+	w, checked, _ := l.findTrailSubset(context.Background(), tarcs, mustInclude, nil)
 	return w, checked
 }
 

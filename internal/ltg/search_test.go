@@ -1,6 +1,7 @@
 package ltg
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -36,7 +37,7 @@ func TestFindTrailSubsetMatchesCheck(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		w, checked := Build(sys).FindTrailSubset(sys.Trans, -1, nil)
+		w, checked := Build(sys).FindTrailSubset(sys.Trans, -1)
 		if (w != nil) != (rep.Verdict == VerdictPotentialLivelock) {
 			t.Fatalf("%s: FindTrailSubset witness=%v but verdict %s", name, w != nil, rep.Verdict)
 		}
@@ -51,14 +52,17 @@ func TestFindTrailSubsetMatchesCheck(t *testing.T) {
 }
 
 // A Memo must never change what the search returns — same witness, same
-// subset count — while recording hits on repeated queries.
+// subset count — while recording hits on repeated queries. The memo
+// reaches the search through CheckOptions.Memo; the test hands it to the
+// search directly.
 func TestFindTrailSubsetMemoTransparent(t *testing.T) {
+	ctx := context.Background()
 	for name, sys := range systemsUnderTest(t) {
 		l := Build(sys)
 		memo := NewMemo()
-		bare, bareChecked := l.FindTrailSubset(sys.Trans, -1, nil)
-		first, firstChecked := l.FindTrailSubset(sys.Trans, -1, memo)
-		second, secondChecked := l.FindTrailSubset(sys.Trans, -1, memo)
+		bare, bareChecked := l.FindTrailSubset(sys.Trans, -1)
+		first, firstChecked, _ := l.findTrailSubset(ctx, sys.Trans, -1, memo)
+		second, secondChecked, _ := l.findTrailSubset(ctx, sys.Trans, -1, memo)
 		if !reflect.DeepEqual(bare, first) || !reflect.DeepEqual(first, second) {
 			t.Fatalf("%s: witness changed with memo", name)
 		}
@@ -82,7 +86,7 @@ func TestFindTrailSubsetMustInclude(t *testing.T) {
 		l := Build(sys)
 		tarcs := sys.Trans
 		for i := range tarcs {
-			got, _ := l.FindTrailSubset(tarcs, i, NewMemo())
+			got, _ := l.FindTrailSubset(tarcs, i)
 			// Brute force: first qualifying mask containing bit i.
 			var want *TrailWitness
 			for mask := 1; mask < 1<<len(tarcs); mask++ {
@@ -111,7 +115,7 @@ func TestFindTrailSubsetMustInclude(t *testing.T) {
 func TestFindTrailSubsetFindsKnownTrail(t *testing.T) {
 	for _, p := range []*core.Protocol{protocols.AgreementBoth(), protocols.GoudaAcharya()} {
 		sys := p.Compile()
-		w, _ := Build(sys).FindTrailSubset(sys.Trans, -1, nil)
+		w, _ := Build(sys).FindTrailSubset(sys.Trans, -1)
 		if w == nil {
 			t.Fatalf("%s: no trail found on a known potential-livelock protocol", p.Name())
 		}

@@ -91,9 +91,8 @@ type CheckOptions struct {
 	// compatible: verdicts are pure functions of (shape, t-arc subset), so
 	// a memo is only transferable between protocols that share the shape
 	// the skeleton vouches for. The verdict, witness, and subset count are
-	// identical with or without it (see FindTrailSubset). Like Skeleton,
-	// only e2ebench's trace replay sets it; synthesis passes its own
-	// ltg.Memo to FindTrailSubset directly.
+	// identical with or without it. Like Skeleton, only e2ebench's trace
+	// replay sets it, and it goes with the same benchmark change.
 	Memo *Memo
 }
 

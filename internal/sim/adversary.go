@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 
 	"paramring/internal/explicit"
@@ -13,57 +14,22 @@ import (
 // instance, so it only works on instances small enough for RecoveryRadius.
 type Adversary struct {
 	in   *explicit.Instance
-	dist map[uint64]int
+	dist []int32 // Instance.RecoveryDistances: -1 where I is unreachable
 }
 
-// NewAdversary precomputes distance-to-I for every state (backward BFS).
+// NewAdversary precomputes distance-to-I for every state (the engine's
+// backward BFS).
 func NewAdversary(in *explicit.Instance) *Adversary {
-	a := &Adversary{in: in, dist: make(map[uint64]int, in.NumStates())}
-	// Forward distances via repeated relaxation would be slow; reuse the
-	// backward BFS already inside RecoveryRadius by reimplementing its core
-	// per-state distance here.
-	const inf = int(^uint(0) >> 1)
-	var frontier []uint64
-	for id := uint64(0); id < in.NumStates(); id++ {
-		if in.InI(id) {
-			a.dist[id] = 0
-			frontier = append(frontier, id)
-		}
-	}
-	k := in.K()
-	d := in.Protocol().Domain()
-	vals := make([]int, k)
-	for head := 0; head < len(frontier); head++ {
-		id := frontier[head]
-		base := a.dist[id]
-		// Generate predecessor candidates by varying one position.
-		copyVals := vals
-		inDecode(in, id, copyVals)
-		for r := 0; r < k; r++ {
-			orig := copyVals[r]
-			for ov := 0; ov < d; ov++ {
-				if ov == orig {
-					continue
-				}
-				copyVals[r] = ov
-				pred := in.Encode(copyVals)
-				copyVals[r] = orig
-				if _, seen := a.dist[pred]; seen {
-					continue
-				}
-				if in.HasTransition(pred, id) {
-					a.dist[pred] = base + 1
-					frontier = append(frontier, pred)
-				}
-			}
-		}
-	}
-	_ = inf
-	return a
+	return &Adversary{in: in, dist: in.RecoveryDistances()}
 }
 
-func inDecode(in *explicit.Instance, id uint64, vals []int) {
-	in.DecodeInto(id, vals)
+// distance returns the distance from id to I, or the largest int when I
+// is unreachable from id: the adversary's ultimate win.
+func (a *Adversary) distance(id uint64) int {
+	if d := a.dist[id]; d >= 0 {
+		return int(d)
+	}
+	return math.MaxInt
 }
 
 // Name implements Scheduler.
@@ -86,11 +52,7 @@ func (a *Adversary) PickFrom(state uint64, enabled []int) int {
 			if t.Process != p {
 				continue
 			}
-			d, ok := a.dist[t.To]
-			if !ok {
-				d = int(^uint(0) >> 1) // unreachable from I: ultimate win
-			}
-			if d > bestDist {
+			if d := a.distance(t.To); d > bestDist {
 				bestDist = d
 				bestProc = p
 			}
@@ -129,11 +91,7 @@ func (a *Adversary) Run(start uint64, maxSteps int) (steps int, converged bool) 
 			if t.Process != p {
 				continue
 			}
-			d, ok := a.dist[t.To]
-			if !ok {
-				d = int(^uint(0) >> 1)
-			}
-			if d > worstDist {
+			if d := a.distance(t.To); d > worstDist {
 				worstDist = d
 				worst = t.To
 			}

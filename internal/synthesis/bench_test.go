@@ -36,8 +36,8 @@ func BenchmarkSynthesizeAll(b *testing.B) {
 
 // The seq-vs-par engine comparison: every case runs the reference flat
 // enumeration, the sequential branch-and-bound walk, and the parallel walk —
-// all three produce the identical Result; the benchmark measures what pruning,
-// memoization and workers buy.
+// all three produce the identical Result; the benchmark measures what pruning
+// and workers buy.
 type synthBenchCase struct {
 	name string
 	p    *core.Protocol
@@ -81,9 +81,6 @@ func BenchmarkSynthesize(b *testing.B) {
 				}
 				b.ReportMetric(float64(st.Candidates), "candidates/op")
 				b.ReportMetric(float64(st.Evaluated), "evaluated/op")
-				if tot := st.MemoHits + st.MemoMisses; tot > 0 {
-					b.ReportMetric(float64(st.MemoHits)/float64(tot), "memo-hit-rate")
-				}
 			})
 		}
 	}

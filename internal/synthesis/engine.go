@@ -34,21 +34,17 @@ type SearchStats struct {
 	// DeadlockRejected counts assignments rejected wholesale because their
 	// Resolve set fails the Theorem 4.2 re-check (decided once per set).
 	DeadlockRejected int
-	// MemoHits and MemoMisses are the Theorem 5.14 verdict-cache counters.
-	MemoHits   uint64
-	MemoMisses uint64
 }
 
 // engine drives Steps 3-5 of the methodology for every Resolve set of one
 // Synthesize run. It owns the pieces shared across Resolve sets: the base
-// protocol's LTG (the s-arc skeleton candidate t-arcs are overlaid on), the
-// Theorem 5.14 verdict memo, and the search counters.
+// protocol's LTG (the s-arc skeleton candidate t-arcs are overlaid on) and
+// the search counters.
 type engine struct {
 	base *core.Protocol
 	sys  *core.System
 	r    *rcg.RCG
 	l    *ltg.LTG
-	memo *ltg.Memo
 	opts Options
 
 	evaluated         atomic.Int64
@@ -138,7 +134,7 @@ func (e *engine) runResolveSet(resolve []core.LocalState, perState [][]core.Loca
 			// overlay; a trail among them dooms every assignment.
 			if !e.rootChecked {
 				e.rootChecked = true
-				e.rootWitness, _ = e.l.FindTrailSubset(e.sys.Trans, -1, e.memo)
+				e.rootWitness, _ = e.l.FindTrailSubset(e.sys.Trans, -1)
 			}
 			if e.rootWitness != nil {
 				e.prunedSubtrees.Add(1)
@@ -252,7 +248,7 @@ func (s *rsSearch) runBlock(lo, hi int, out *blockResult) {
 			overlay = append(overlay, s.perState[d][newDigits[d]])
 			// Only subsets containing the newest arc are open: subsets of the
 			// older prefix were cleared at shallower levels (or at the root).
-			w, _ := e.l.FindTrailSubset(overlay, len(overlay)-1, e.memo)
+			w, _ := e.l.FindTrailSubset(overlay, len(overlay)-1)
 			if w == nil {
 				continue
 			}
@@ -312,7 +308,6 @@ func (s *rsSearch) leaf(idx int, out *blockResult) bool {
 
 // stats snapshots the engine's counters.
 func (e *engine) stats() SearchStats {
-	hits, misses := e.memo.Stats()
 	return SearchStats{
 		Workers:           e.opts.Workers,
 		Candidates:        e.candidates,
@@ -320,7 +315,5 @@ func (e *engine) stats() SearchStats {
 		PrunedSubtrees:    int(e.prunedSubtrees.Load()),
 		PrunedAssignments: int(e.prunedAssignments.Load()),
 		DeadlockRejected:  e.deadlockRejected,
-		MemoHits:          hits,
-		MemoMisses:        misses,
 	}
 }

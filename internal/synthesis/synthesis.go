@@ -90,9 +90,9 @@ type Options struct {
 	// index, and outcomes are assembled in index order. Pass Workers: 1
 	// explicitly for the sequential reference path.
 	Workers int
-	// Flat disables pruning, memoization and the per-Resolve-set deadlock
-	// precheck, evaluating every assignment independently — the original
-	// flat enumeration, kept as the reference path for differential tests.
+	// Flat disables pruning and the per-Resolve-set deadlock precheck,
+	// evaluating every assignment independently — the original flat
+	// enumeration, kept as the reference path for differential tests.
 	Flat bool
 }
 
@@ -210,9 +210,8 @@ func Synthesize(base *core.Protocol, opts Options) (*Result, error) {
 		len(badCycles), len(resolveSets), formatResolveSets(base, res.ResolveSets))
 
 	// Steps 3-5 per Resolve set, searched by the engine: the base LTG is the
-	// shared s-arc skeleton candidates are overlaid on, and the memo carries
-	// Theorem 5.14 verdicts across assignments and Resolve sets.
-	eng := &engine{base: base, sys: sys, r: r, l: ltg.BuildFrom(sys, r), memo: ltg.NewMemo(), opts: opts}
+	// shared s-arc skeleton candidates are overlaid on.
+	eng := &engine{base: base, sys: sys, r: r, l: ltg.BuildFrom(sys, r), opts: opts}
 	defer func() { res.Stats = eng.stats() }()
 
 	for _, rs := range resolveSets {

@@ -10,14 +10,14 @@ import (
 // One call verifies a protocol for every ring size: Theorem 4.2 for
 // deadlocks, Theorem 5.14 for livelocks, and witness confirmation to tell
 // real counterexamples from spurious trails.
-func ExampleProtocol() {
-	rep, err := verify.Protocol(protocols.SumNotTwoSolution(), verify.Options{})
+func ExampleCheck() {
+	rep, err := verify.Check(protocols.SumNotTwoSolution(), verify.Options{})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println(rep.Summary())
 
-	rep, err = verify.Protocol(protocols.AgreementBoth(), verify.Options{})
+	rep, err = verify.Check(protocols.AgreementBoth(), verify.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -19,7 +19,7 @@ import (
 // termination potential settles livelock-freedom for EVERY K, with a
 // certificate, and the explicit engine arbitrates at small sizes.
 func TestInvariantLaneProvesMatchingA(t *testing.T) {
-	rep, err := Protocol(protocols.MatchingA(), Options{Invariant: true, CrossValidateMaxK: 5})
+	rep, err := Check(protocols.MatchingA(), Options{Invariant: true, CrossValidateMaxK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestInvariantLaneProvesMatchingA(t *testing.T) {
 // the facade's SelfStabilizing headline that TestProtocolMISContiguousOnly
 // pins to false without the lane.
 func TestInvariantLaneCompletesMIS(t *testing.T) {
-	rep, err := Protocol(protocols.MaxIndependentSet(), Options{Invariant: true, CrossValidateMaxK: 5})
+	rep, err := Check(protocols.MaxIndependentSet(), Options{Invariant: true, CrossValidateMaxK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestInvariantLaneAgreesAcrossZoo(t *testing.T) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		rep, err := Protocol(zoo[name], Options{Invariant: true, CrossValidateMaxK: 4})
+		rep, err := Check(zoo[name], Options{Invariant: true, CrossValidateMaxK: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -117,7 +117,7 @@ func TestInvariantLaneDisagreementInjection(t *testing.T) {
 		invariantAnalyze = func(ctx context.Context, _ *core.Protocol, o invariant.Options) (*invariant.Report, error) {
 			return invariant.Analyze(ctx, protocols.All()["matching"], o)
 		}
-		rep, err := Protocol(protocols.SumNotTwoSolution(), Options{Invariant: true})
+		rep, err := Check(protocols.SumNotTwoSolution(), Options{Invariant: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestInvariantLaneDisagreementInjection(t *testing.T) {
 			rep.Deadlock = invariant.Fails
 			return rep, nil
 		}
-		rep, err := Protocol(protocols.SumNotTwoSolution(), Options{Invariant: true})
+		rep, err := Check(protocols.SumNotTwoSolution(), Options{Invariant: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestInvariantLaneDisagreementInjection(t *testing.T) {
 			rep.Livelock = invariant.Holds
 			return rep, nil
 		}
-		rep, err := Protocol(protocols.AgreementBoth(), Options{Invariant: true, CrossValidateMaxK: 5})
+		rep, err := Check(protocols.AgreementBoth(), Options{Invariant: true, CrossValidateMaxK: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestInvariantLaneRefutesSmallRing(t *testing.T) {
 			Next:  func(v core.View) []int { return []int{1 - v[1]} },
 		}},
 	})
-	rep, err := Protocol(p, Options{Invariant: true})
+	rep, err := Check(p, Options{Invariant: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestInvariantLaneWorkersIdentical(t *testing.T) {
 	for _, name := range []string{"matchingA", "mis", "agreement-both"} {
 		p := protocols.All()[name]
 		run := func(workers int) *Report {
-			rep, err := Protocol(p, Options{Invariant: true, CrossValidateMaxK: 4, Workers: workers})
+			rep, err := Check(p, Options{Invariant: true, CrossValidateMaxK: 4, Workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -268,7 +268,7 @@ func TestInvariantLaneContextCancellation(t *testing.T) {
 // TestInvariantLaneGuard: the local-state governor skips the lane with a
 // reason instead of failing the whole run.
 func TestInvariantLaneGuard(t *testing.T) {
-	rep, err := Protocol(protocols.MatchingA(), Options{Invariant: true, InvariantMaxStates: 4})
+	rep, err := Check(protocols.MatchingA(), Options{Invariant: true, InvariantMaxStates: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,12 +233,6 @@ type Report struct {
 	ExplicitPeakTableBytes uint64
 }
 
-// Protocol runs the full local-reasoning verification pipeline. It is
-// equivalent to Check and kept under the historical name.
-func Protocol(p *core.Protocol, opts Options) (*Report, error) {
-	return CheckCtx(context.Background(), p, opts)
-}
-
 // Check runs the full local-reasoning verification pipeline.
 func Check(p *core.Protocol, opts Options) (*Report, error) {
 	return CheckCtx(context.Background(), p, opts)

@@ -14,7 +14,7 @@ import (
 )
 
 func TestProtocolAgreementOneSided(t *testing.T) {
-	rep, err := Protocol(protocols.AgreementOneSided("t01"), Options{CrossValidateMaxK: 6})
+	rep, err := Check(protocols.AgreementOneSided("t01"), Options{CrossValidateMaxK: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestProtocolAgreementOneSided(t *testing.T) {
 }
 
 func TestProtocolAgreementBothRefuted(t *testing.T) {
-	rep, err := Protocol(protocols.AgreementBoth(), Options{})
+	rep, err := Check(protocols.AgreementBoth(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestProtocolAgreementBothRefuted(t *testing.T) {
 }
 
 func TestProtocolMatchingBDeadlockRefuted(t *testing.T) {
-	rep, err := Protocol(protocols.MatchingB(), Options{CrossValidateMaxK: 6})
+	rep, err := Check(protocols.MatchingB(), Options{CrossValidateMaxK: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestProtocolMatchingBDeadlockRefuted(t *testing.T) {
 
 func TestProtocolSumNotTwoSpuriousInconclusiveVsAcceptedProved(t *testing.T) {
 	// The accepted solution proves clean.
-	rep, err := Protocol(protocols.SumNotTwoSolution(), Options{CrossValidateMaxK: 5})
+	rep, err := Check(protocols.SumNotTwoSolution(), Options{CrossValidateMaxK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestProtocolSumNotTwoSpuriousInconclusiveVsAcceptedProved(t *testing.T) {
 }
 
 func TestProtocolMISContiguousOnly(t *testing.T) {
-	rep, err := Protocol(protocols.MaxIndependentSet(), Options{CrossValidateMaxK: 5})
+	rep, err := Check(protocols.MaxIndependentSet(), Options{CrossValidateMaxK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestProtocolNeverOverClaimsRandom(t *testing.T) {
 		rng := rand.New(rand.NewSource(321))
 		for trial := 0; trial < 1500; trial++ {
 			p := protogen.Random(rng, protogen.Options{Domain: 2, Lo: w[0], Hi: w[1], SelfDisabling: true, MovePercent: 50})
-			rep, err := Protocol(p, Options{Invariant: true, Workers: 1})
+			rep, err := Check(p, Options{Invariant: true, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +175,7 @@ func TestWideLeftWindowNoTheoremProof(t *testing.T) {
 func TestBoundedFallbackResolvesMatchingA(t *testing.T) {
 	// matchingA's Theorem 5.14 check is inconclusive (bidirectional, 18
 	// t-arcs); the bounded fallback certifies livelock-freedom up to K=6.
-	rep, err := Protocol(protocols.MatchingA(), Options{BoundedFallbackMaxK: 6})
+	rep, err := Check(protocols.MatchingA(), Options{BoundedFallbackMaxK: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestBoundedFallbackRefutesMatchingBStyleLivelock(t *testing.T) {
 	// livelocking fixture: the coloring2 resolution livelocks at K=4, but
 	// it is unidirectional and gets Refuted via ConfirmWitness already.
 	// matchingB exercises the LivelockSkipped + fallback path:
-	rep, err := Protocol(protocols.MatchingB(), Options{BoundedFallbackMaxK: 5})
+	rep, err := Check(protocols.MatchingB(), Options{BoundedFallbackMaxK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,13 +235,13 @@ func TestWorkersReportIdentical(t *testing.T) {
 		}
 		seqOpts := tc.opts
 		seqOpts.Workers = 1
-		seq, err := Protocol(p, seqOpts)
+		seq, err := Check(p, seqOpts)
 		if err != nil {
 			t.Fatalf("%s seq: %v", tc.name, err)
 		}
 		parOpts := tc.opts
 		parOpts.Workers = 4
-		par, err := Protocol(p, parOpts)
+		par, err := Check(p, parOpts)
 		if err != nil {
 			t.Fatalf("%s par: %v", tc.name, err)
 		}
