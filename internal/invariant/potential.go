@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/big"
 
@@ -150,7 +151,10 @@ func valueReach(sys *core.System, arcs []core.LocalTransition, d int) [][]bool {
 //
 // where the coefficients are the net change, across the actor and all w-1
 // affected neighbors, of how many processes sit in each local state when the
-// transition fires in that context. Identical rows are deduplicated.
+// transition fires in that context. A row is dropped when an identical row
+// of the same length was built before it. Rows are built while the variable
+// space grows, so a row is not matched against an earlier, shorter one that
+// equals it once padded to the final width: such duplicates stay in the LP.
 // Returns the rows, the variable count, and the state code per variable.
 func (a *analysis) potentialRows(ctx context.Context, rec []core.LocalTransition) ([][]int64, int, []int, error) {
 	free := a.freeOffsets()
@@ -167,6 +171,7 @@ func (a *analysis) potentialRows(ctx context.Context, rec []core.LocalTransition
 		return id
 	}
 	seen := map[string]bool{}
+	var key []byte
 	var rows [][]int64
 	for _, tr := range rec {
 		if err := ctx.Err(); err != nil {
@@ -188,9 +193,14 @@ func (a *analysis) potentialRows(ctx context.Context, rec []core.LocalTransition
 			for id, c := range row {
 				dense[id] = c
 			}
-			key := fmt.Sprint(dense)
-			if !seen[key] {
-				seen[key] = true
+			// The entries as varints: a prefix-free code, so two rows share
+			// a key exactly when they share length and entries.
+			key = key[:0]
+			for _, c := range dense {
+				key = binary.AppendVarint(key, c)
+			}
+			if !seen[string(key)] {
+				seen[string(key)] = true
 				rows = append(rows, dense)
 			}
 		}

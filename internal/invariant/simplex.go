@@ -4,10 +4,16 @@ import (
 	"context"
 	"errors"
 	"math/big"
+	"math/bits"
 )
 
 // errPivotLimit aborts a simplex run that exceeds its pivot budget.
 var errPivotLimit = errors.New("invariant: simplex pivot limit exceeded")
+
+// errInexact reports a division in the int64 tableau that left a remainder.
+// Every numerator of a correct fraction-free tableau is a multiple of den, so
+// it can only mean a solver bug; the solve stops rather than truncate.
+var errInexact = errors.New("invariant: simplex division inexact")
 
 // errBitLimit aborts a simplex run whose promoted tableau grows an entry
 // past maxCellBits.
@@ -108,7 +114,8 @@ func runSimplex(ctx context.Context, t tableau, maxPivots int) (tableau, int, er
 // cost), leaves row l as it is, and sets den = p. Every entry is a minor of
 // the original system (den is the basis determinant), so the division is
 // exact and the represented rationals entry/den are exactly those a
-// rational tableau would hold.
+// rational tableau would hold. The int64 tableau checks every quotient
+// rather than assume it exact, and stops with errInexact on a remainder.
 type tableau interface {
 	// entering returns the entering column, or -1 at optimality.
 	entering(bland bool) int
@@ -146,16 +153,20 @@ func zeroRats(n int) []*big.Rat {
 }
 
 // smallTableau holds every entry in int64, each of magnitude below
-// smallLimit, so no product in a pivot can overflow.
+// smallLimit, so no product in a pivot can overflow. Each row of cells, and
+// the objective row, carries a bitmask of its nonzero columns, which pivot
+// keeps current: a pivot visits only the cells whose value can move.
 type smallTableau struct {
-	n, m, w int   // w = n+m stored columns per row
-	basis   []int // basic column per row
-	cell    []int64
+	n, m, w int      // w = n+m stored columns per row
+	words   int      // mask words per row
+	basis   []int    // basic column per row
+	cell    []int64  // m rows of w cells
+	mask    []uint64 // m rows of words: bit j set iff the row's cell j is nonzero
 	rhs     []int64
-	obj     []int64 // scaled reduced costs of the stored columns
-	val     int64   // scaled artificial sum
+	obj     []int64  // scaled reduced costs of the stored columns
+	objMask []uint64 // obj's nonzero columns, as in mask
+	val     int64    // scaled artificial sum
 	den     int64
-	nz      []int // the pivot row's nonzero columns, reused across pivots
 }
 
 // newTableau builds the starting tableau: int64 when every coefficient and
@@ -163,14 +174,17 @@ type smallTableau struct {
 func newTableau(rows [][]int64, n int) tableau {
 	m := len(rows)
 	w := n + m
+	words := (w + 63) / 64
 	t := &smallTableau{
-		n: n, m: m, w: w,
-		basis: make([]int, m),
-		cell:  make([]int64, m*w),
-		rhs:   make([]int64, m),
-		obj:   make([]int64, w),
-		val:   int64(m),
-		den:   1,
+		n: n, m: m, w: w, words: words,
+		basis:   make([]int, m),
+		cell:    make([]int64, m*w),
+		mask:    make([]uint64, m*words),
+		rhs:     make([]int64, m),
+		obj:     make([]int64, w),
+		objMask: make([]uint64, words),
+		val:     int64(m),
+		den:     1,
 	}
 	for i, r := range rows {
 		for j := 0; j < n && j < len(r); j++ {
@@ -185,7 +199,9 @@ func newTableau(rows [][]int64, n int) tableau {
 		t.rhs[i] = 1
 		t.obj[n+i] = 1
 		t.basis[i] = 2*n + m + i
+		nonzeroMask(t.cell[i*w:(i+1)*w], t.mask[i*words:(i+1)*words])
 	}
+	nonzeroMask(t.obj, t.objMask)
 	for _, o := range t.obj {
 		if outOfRange(o) {
 			return t.promote()
@@ -195,6 +211,16 @@ func newTableau(rows [][]int64, n int) tableau {
 		return t.promote()
 	}
 	return t
+}
+
+// nonzeroMask sets mask to row's nonzero pattern.
+func nonzeroMask(row []int64, mask []uint64) {
+	clear(mask)
+	for j, x := range row {
+		if x != 0 {
+			mask[j/64] |= 1 << (j % 64)
+		}
+	}
 }
 
 // outOfRange reports |x| >= smallLimit: the int64 tableau must promote
@@ -216,17 +242,44 @@ func (t *smallTableau) objOf(e int) int64 {
 	}
 }
 
+// entering scans the reduced costs in column order — u, v, s, a, each read
+// off the stored obj — for Dantzig's most negative one (ties to the smallest
+// column) or, under Bland's rule, the first negative one.
 func (t *smallTableau) entering(bland bool) int {
+	n, m := t.n, t.m
+	u, s := t.obj[:n], t.obj[n:]
 	e := -1
 	var best int64
-	for j := 0; j < 2*t.n+2*t.m; j++ {
-		x := t.objOf(j)
-		if bland {
-			if x < 0 {
+	for j, x := range u {
+		if x < best {
+			if bland {
 				return j
 			}
-		} else if x < best {
 			best, e = x, j
+		}
+	}
+	for j, x := range u {
+		if -x < best {
+			if bland {
+				return n + j
+			}
+			best, e = -x, n+j
+		}
+	}
+	for i, x := range s {
+		if x < best {
+			if bland {
+				return 2*n + i
+			}
+			best, e = x, 2*n+i
+		}
+	}
+	for i, x := range s {
+		if x = t.den - x; x < best {
+			if bland {
+				return 2*n + m + i
+			}
+			best, e = x, 2*n+m+i
 		}
 	}
 	return e
@@ -264,23 +317,16 @@ func (t *smallTableau) pivot(l, e int) (tableau, error) {
 		return t.promote().pivot(l, e)
 	}
 	k, neg := storedColumn(e, t.n, t.m)
-	w := t.w
+	w, nw := t.w, t.words
 	prow := t.cell[l*w : (l+1)*w]
+	pmask := t.mask[l*nw : (l+1)*nw]
 	p := prow[k]
 	if neg {
 		p = -p
 	}
-	d, rl := t.den, t.rhs[l]
-	nz := t.nz[:0]
-	if p == d {
-		for j, y := range prow {
-			if y != 0 {
-				nz = append(nz, j)
-			}
-		}
-	}
-	t.nz = nz
-	over := false
+	q := newExactDiv(t.den)
+	rl := t.rhs[l]
+	var faults divFault
 	for i := 0; i < t.m; i++ {
 		if i == l {
 			continue
@@ -290,58 +336,128 @@ func (t *smallTableau) pivot(l, e int) (tableau, error) {
 		if neg {
 			f = -f
 		}
-		switch {
-		case p == d && f == 0:
-			// Every cell keeps x·p/d = x.
-		case p == d:
-			// Only cells under the pivot row's nonzeros move.
-			for _, j := range nz {
-				x := (row[j]*p - f*prow[j]) / d
-				row[j] = x
-				over = over || outOfRange(x)
-			}
-		case f == 0:
-			for j, x := range row {
-				if x != 0 {
-					x = x * p / d
-					row[j] = x
-					over = over || outOfRange(x)
-				}
-			}
-		default:
-			for j, y := range prow {
-				x := row[j]
-				if x == 0 && y == 0 {
-					continue
-				}
-				x = (x*p - f*y) / d
-				row[j] = x
-				over = over || outOfRange(x)
-			}
+		if f == 0 && p == q.d {
+			continue // every value keeps x·p/den = x
 		}
-		r := (t.rhs[i]*p - f*rl) / d
-		t.rhs[i] = r
-		over = over || outOfRange(r)
+		faults |= updateRow(row, t.mask[i*nw:(i+1)*nw], prow, pmask, p, f, q)
+		r, bad := q.quo(t.rhs[i]*p - f*rl)
+		t.rhs[i], faults = r, faults|bad
 	}
-	for j, y := range prow {
-		x := t.obj[j]
-		if x == 0 && y == 0 {
-			continue
-		}
-		x = (x*p - fo*y) / d
-		t.obj[j] = x
-		over = over || outOfRange(x)
-	}
+	faults |= updateRow(t.obj, t.objMask, prow, pmask, p, fo, q)
 	// The artificial sum moves by the entering column's reduced cost times
 	// its step rhs[l]/p.
-	t.val = (t.val*p + fo*rl) / d
-	over = over || outOfRange(t.val)
+	v, bad := q.quo(t.val*p + fo*rl)
+	t.val, faults = v, faults|bad
 	t.basis[l] = e
 	t.den = p
-	if over {
+	switch {
+	case faults&divInexact != 0:
+		return t, errInexact
+	case faults&divOver != 0:
 		return t.promote(), nil
 	}
 	return t, nil
+}
+
+// updateRow sets each cell x of row to (x·p - f·y)/den, y the pivot row's
+// cell in its column, and keeps the row's mask current. Only two kinds of
+// cell can move: those under a nonzero y when f ≠ 0, and the row's own
+// nonzeros when p ≠ den. Any other cell is zero and stays zero, or keeps
+// x·den/den = x.
+func updateRow(row []int64, mask []uint64, prow []int64, pmask []uint64, p, f int64, q exactDiv) divFault {
+	var fm, rm uint64
+	if f != 0 {
+		fm = ^uint64(0)
+	}
+	if p != q.d {
+		rm = ^uint64(0)
+	}
+	var faults divFault
+	for wi, rw := range mask {
+		visit := pmask[wi]&fm | rw&rm
+		nz := rw &^ visit
+		for b := visit; b != 0; b &= b - 1 {
+			j := wi*64 + bits.TrailingZeros64(b)
+			// quo's two halves, since quo itself is too large to inline.
+			num := row[j]*p - f*prow[j]
+			x, ok := q.fast(num)
+			if !ok {
+				var bad divFault
+				x, bad = q.slow(num)
+				faults |= bad
+			}
+			row[j] = x
+			if x != 0 {
+				nz |= b & -b
+			}
+		}
+		mask[wi] = nz
+	}
+	return faults
+}
+
+// exactDiv divides by a pivot's den, 0 < den < smallLimit, which divides
+// every numerator of a correct tableau (Bareiss). A quotient costs a shift
+// and a multiplication by the inverse of den's odd part mod 2^64, and one
+// more multiplication proves it exact; only a quotient that fails the
+// proof pays for a hardware division.
+type exactDiv struct {
+	d     int64
+	shift uint  // den's factors of two, below 31
+	inv   int64 // inverse of den>>shift mod 2^64
+}
+
+// divFault records what a slow-path quotient found.
+type divFault uint8
+
+const (
+	divOver    divFault = 1 << iota // a quotient is out of range: promote
+	divInexact                      // a numerator is not a multiple of den: a solver bug
+)
+
+func newExactDiv(d int64) exactDiv {
+	shift := uint(bits.TrailingZeros64(uint64(d)))
+	odd := uint64(d) >> shift
+	// 3·odd XOR 2 is odd's inverse mod 2^5, and each Newton step doubles
+	// the bits that are right (Granlund and Montgomery): 5, 10, 20, 40, 80.
+	inv := (3 * odd) ^ 2
+	for i := 0; i < 4; i++ {
+		inv *= 2 - odd*inv
+	}
+	return exactDiv{d: d, shift: shift, inv: int64(inv)}
+}
+
+// quo returns num/den, and what the slow path found if it was taken.
+func (q exactDiv) quo(num int64) (int64, divFault) {
+	if x, ok := q.fast(num); ok {
+		return x, 0
+	}
+	return q.slow(num)
+}
+
+// fast returns num/den and true when den divides num and the quotient is in
+// range: shifting out den's factors of two is then exact, and the
+// multiplication yields the quotient. The result is checked, not assumed:
+// |x| < smallLimit and den < smallLimit bound |x·den| below 2^62, so
+// x·den == num holds in wrapping arithmetic only if it holds over the
+// integers. (The mask on the shift only spares the compiler a range check.)
+func (q exactDiv) fast(num int64) (int64, bool) {
+	x := (num >> (q.shift & 63)) * q.inv
+	return x, !outOfRange(x) && x*q.d == num
+}
+
+// slow divides num by den in hardware, for a quotient out of range (exact,
+// and the tableau promotes) or a numerator den does not divide.
+func (q exactDiv) slow(num int64) (int64, divFault) {
+	x := num / q.d
+	var fault divFault
+	if num%q.d != 0 {
+		fault |= divInexact
+	}
+	if outOfRange(x) {
+		fault |= divOver
+	}
+	return x, fault
 }
 
 func (t *smallTableau) solution() ([]*big.Rat, bool) {

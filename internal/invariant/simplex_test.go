@@ -2,6 +2,8 @@ package invariant
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"os"
@@ -192,12 +194,16 @@ func errText(err error) string {
 // FuzzSimplexEquivalence holds the fraction-free solver to the big.Rat
 // reference it replaced: on every decoded system the two must agree on
 // feasibility, pivot count, errors (the pivot limit included) and every
-// solution entry. testdata/fuzz holds seeds for each path through the
-// solver; TestSimplexSeedPaths pins which path each one takes.
+// solution entry, and every nonzero mask of the int64 tableau must match its
+// row after every pivot. testdata/fuzz holds seeds for each path through
+// the solver; TestSimplexSeedPaths pins which path each one takes.
 func FuzzSimplexEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, n, maxPivots := decodeLP(data)
 		matchReference(t, rows, n, maxPivots)
+		if p := traceLP(rows, n, maxPivots); p.maskErr != "" {
+			t.Fatalf("rows %v, maxPivots %d: %s", rows, maxPivots, p.maskErr)
+		}
 	})
 }
 
@@ -225,8 +231,21 @@ type lpPath struct {
 	startBig, endBig     bool
 	feasible             bool
 	err                  error
+
+	// The int64 tableau's pivots: how many it ran (a pivot that promotes on
+	// an out-of-range quotient included) and which update paths they took.
+	smallPivots int
+	pIsDen      bool   // p = den: rows visit the pivot row's nonzeros only
+	fZero       bool   // f = 0 with p ≠ den: a row visits its own nonzeros
+	fillIn      bool   // a zero cell became nonzero
+	cancel      bool   // a nonzero cell outside the entering column became zero
+	evenDen     bool   // den even: the exact division shifts
+	slow        bool   // a quotient fell to the slow path (and promoted)
+	maskErr     string // the first mask found disagreeing with its row
 }
 
+// traceLP runs the solver on the system through watchedTableau and reports
+// the path it took.
 func traceLP(rows [][]int64, n, maxPivots int) lpPath {
 	path := lpPath{m: len(rows), maxPivots: maxPivots}
 	if len(rows) == 0 {
@@ -235,13 +254,88 @@ func traceLP(rows [][]int64, n, maxPivots int) lpPath {
 	}
 	t0 := newTableau(rows, n)
 	_, path.startBig = t0.(*bigTableau)
-	t, pivots, err := runSimplex(context.Background(), t0, maxPivots)
-	_, path.endBig = t.(*bigTableau)
+	t, pivots, err := runSimplex(context.Background(), watchedTableau{t0, &path}, maxPivots)
+	inner := t.(watchedTableau).tableau
+	_, path.endBig = inner.(*bigTableau)
 	path.pivots, path.err = pivots, err
 	if err == nil {
-		_, path.feasible = t.solution()
+		_, path.feasible = inner.solution()
 	}
 	return path
+}
+
+// watchedTableau passes runSimplex's calls through to the tableau it wraps
+// and, around each pivot of the int64 tableau, checks every mask against
+// its row's nonzero pattern and records in path which update paths the
+// pivot took.
+type watchedTableau struct {
+	tableau
+	path *lpPath
+}
+
+func (w watchedTableau) pivot(l, e int) (tableau, error) {
+	st, small := w.tableau.(*smallTableau)
+	if !small || outOfRange(st.objOf(e)) {
+		// big.Int already, or promoted before any int64 update.
+		next, err := w.tableau.pivot(l, e)
+		return watchedTableau{next, w.path}, err
+	}
+	path := w.path
+	path.smallPivots++
+	checkMasks(st, path)
+	k, neg := storedColumn(e, st.n, st.m)
+	p := st.cell[l*st.w+k]
+	if neg {
+		p = -p
+	}
+	path.pIsDen = path.pIsDen || p == st.den
+	path.evenDen = path.evenDen || st.den%2 == 0
+	for i := 0; i < st.m; i++ {
+		path.fZero = path.fZero || (i != l && st.cell[i*st.w+k] == 0 && p != st.den)
+	}
+	before := append([]int64(nil), st.cell...)
+	next, err := w.tableau.pivot(l, e)
+	if _, promoted := next.(*bigTableau); promoted {
+		path.slow = true
+	}
+	if err == nil {
+		// The int64 tableau is updated in place, also when it then promotes.
+		checkMasks(st, path)
+		for i := 0; i < st.m; i++ {
+			if i == l {
+				continue
+			}
+			for j := 0; j < st.w; j++ {
+				was, is := before[i*st.w+j], st.cell[i*st.w+j]
+				path.fillIn = path.fillIn || (was == 0 && is != 0)
+				path.cancel = path.cancel || (j != k && was != 0 && is == 0)
+			}
+		}
+	}
+	return watchedTableau{next, path}, err
+}
+
+// checkMasks records in path the first mask of st, the objective row's
+// included, that differs from its row's nonzero pattern.
+func checkMasks(st *smallTableau, path *lpPath) {
+	if path.maskErr != "" {
+		return
+	}
+	want := make([]uint64, st.words)
+	for i := 0; i <= st.m; i++ {
+		row, mask := st.obj, st.objMask
+		if i < st.m {
+			row, mask = st.cell[i*st.w:(i+1)*st.w], st.mask[i*st.words:(i+1)*st.words]
+		}
+		nonzeroMask(row, want)
+		for wi := range want {
+			if mask[wi] != want[wi] {
+				path.maskErr = fmt.Sprintf("around int64 pivot %d, row %d (of %d; %d is the objective) has mask word %d = %#x, cells give %#x",
+					path.smallPivots, i, st.m, st.m, wi, mask[wi], want[wi])
+				return
+			}
+		}
+	}
 }
 
 // simplexSeedPaths names the committed FuzzSimplexEquivalence seeds and the
@@ -260,6 +354,16 @@ var simplexSeedPaths = map[string]func(p lpPath) bool{
 	"seed-pivot-limit": func(p lpPath) bool { return p.err == errPivotLimit },
 	"seed-infeasible":  func(p lpPath) bool { return p.m > 0 && p.err == nil && !p.feasible },
 	"seed-empty":       func(p lpPath) bool { return p.m == 0 },
+	// Masked int64 pivots that both fill a zero cell and cancel a nonzero
+	// one outside the entering column.
+	"seed-fill-cancel": func(p lpPath) bool { return p.err == nil && !p.endBig && p.fillIn && p.cancel },
+	// An int64 pivot under an even den, so the exact division shifts.
+	"seed-even-den": func(p lpPath) bool { return p.err == nil && !p.endBig && p.evenDen },
+	// Masked int64 pivots, then an out-of-range quotient takes the slow
+	// path and the tableau promotes.
+	"seed-promote-masked": func(p lpPath) bool {
+		return p.err == nil && !p.startBig && p.endBig && p.slow && p.smallPivots >= 2
+	},
 }
 
 // readFuzzSeed decodes a one-argument []byte seed file of the go test
@@ -285,13 +389,19 @@ func readFuzzSeed(t *testing.T, path string) []byte {
 // TestSimplexSeedPaths pins that every committed FuzzSimplexEquivalence seed
 // still reaches the solver path its name promises, so the seed replay keeps
 // covering int64 solving, promotion, the big.Int start, Bland's rule, the
-// pivot limit, infeasibility and the empty system.
+// pivot limit, infeasibility, the empty system, fill-in and cancellation
+// under the masks, an even den, and promotion through the slow path after
+// masked pivots.
 func TestSimplexSeedPaths(t *testing.T) {
 	for name, ok := range simplexSeedPaths {
 		data := readFuzzSeed(t, filepath.Join("testdata", "fuzz", "FuzzSimplexEquivalence", name))
 		rows, n, maxPivots := decodeLP(data)
-		if p := traceLP(rows, n, maxPivots); !ok(p) {
+		p := traceLP(rows, n, maxPivots)
+		if !ok(p) {
 			t.Errorf("%s: took path %+v", name, p)
+		}
+		if p.maskErr != "" {
+			t.Errorf("%s: %s", name, p.maskErr)
 		}
 	}
 }
@@ -300,8 +410,10 @@ func TestSimplexSeedPaths(t *testing.T) {
 // over a fixed stream of random systems — sparse small coefficients like the
 // termination LPs', plus coefficients shifted to 2^20 and 2^33 — with pivot
 // budgets small enough that some runs switch to Bland's rule or stop at the
-// limit, and requires the stream to reach each of those paths and mid-solve
-// promotion.
+// limit. Every int64 pivot must leave each row's mask equal to its nonzero
+// pattern, and the stream must reach Bland's rule, the pivot limit, mid-solve
+// promotion, and each update path of the masked pivot: p = den, f = 0 with
+// p ≠ den, fill-in, cancellation, an even den and the slow path.
 func TestSolveStrictMatchesReference(t *testing.T) {
 	trials := 600
 	if testing.Short() {
@@ -309,6 +421,7 @@ func TestSolveStrictMatchesReference(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(14))
 	var bland, limited, promoted int
+	var seen lpPath
 	for trial := 0; trial < trials; trial++ {
 		n := 1 + rng.Intn(10)
 		m := 1 + rng.Intn(30)
@@ -328,6 +441,9 @@ func TestSolveStrictMatchesReference(t *testing.T) {
 		rows, n, maxPivots := decodeLP(data)
 		matchReference(t, rows, n, maxPivots)
 		p := traceLP(rows, n, maxPivots)
+		if p.maskErr != "" {
+			t.Fatalf("rows %v, maxPivots %d: %s", rows, maxPivots, p.maskErr)
+		}
 		switch {
 		case p.err == errPivotLimit:
 			limited++
@@ -337,10 +453,40 @@ func TestSolveStrictMatchesReference(t *testing.T) {
 		if p.endBig && !p.startBig {
 			promoted++
 		}
+		seen.pIsDen = seen.pIsDen || p.pIsDen
+		seen.fZero = seen.fZero || p.fZero
+		seen.fillIn = seen.fillIn || p.fillIn
+		seen.cancel = seen.cancel || p.cancel
+		seen.evenDen = seen.evenDen || p.evenDen
+		seen.slow = seen.slow || p.slow
 	}
 	if bland == 0 || limited == 0 || promoted == 0 {
 		t.Errorf("%d systems: %d finished under Bland's rule, %d hit the pivot limit, %d promoted mid-solve; want each path covered",
 			trials, bland, limited, promoted)
+	}
+	if !(seen.pIsDen && seen.fZero && seen.fillIn && seen.cancel && seen.evenDen && seen.slow) {
+		t.Errorf("%d systems: masked pivot paths reached: p = den %v, f = 0 with p ≠ den %v, fill-in %v, cancellation %v, even den %v, slow path %v; want all",
+			trials, seen.pIsDen, seen.fZero, seen.fillIn, seen.cancel, seen.evenDen, seen.slow)
+	}
+}
+
+// TestPivotInexactDivision pins that the int64 pivot checks its divisions:
+// with den corrupted from 1 to 2, one numerator of the next pivot is odd,
+// and the pivot must return errInexact where a plain division would have
+// stored the truncated quotient.
+func TestPivotInexactDivision(t *testing.T) {
+	// Row 0 stores (-1, 1 | -1, 0), row 1 (1, -2 | 0, -1). Pivoting on u_0
+	// in row 1 (p = 1) sets row 0's u_1 cell to (1·1 - (-1)·(-2))/den, which
+	// is -1/2 under the corrupt den.
+	tab := newTableau([][]int64{{1, -1}, {-1, 2}}, 2).(*smallTableau)
+	tab.den = 2
+	if _, err := tab.pivot(1, 0); !errors.Is(err, errInexact) {
+		t.Fatalf("pivot with an inexact numerator: err = %v, want errInexact", err)
+	}
+	// The same pivot on the intact tableau divides exactly.
+	tab = newTableau([][]int64{{1, -1}, {-1, 2}}, 2).(*smallTableau)
+	if _, err := tab.pivot(1, 0); err != nil {
+		t.Fatalf("pivot on the intact tableau: %v", err)
 	}
 }
 
